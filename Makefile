@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross test vet staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke check
+.PHONY: build cross test test-386 vet staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ cross:
 
 test:
 	$(GO) test ./...
+
+# 32-bit tests, run natively (amd64 executes 386 binaries): the wire
+# parser's bounds checks against int wrap-around, the shard and fleet
+# that sit behind it, and the pure-Go mat kernels every non-amd64
+# target falls back to. `cross` only builds for 32-bit Arm; this runs.
+test-386:
+	GOARCH=386 $(GO) test ./internal/mat ./internal/wire ./internal/shard ./internal/fleet
 
 vet:
 	$(GO) vet ./...
@@ -136,7 +143,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s .
 	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
 
-# The full pre-merge gate: tier-1 plus the 32-bit Arm cross-compile,
-# static analysis, the race detector over the concurrent packages, and a
-# fuzz smoke over the artifact loaders.
-check: build cross vet staticcheck test race fuzz-smoke
+# The full pre-merge gate: tier-1 plus the 32-bit Arm cross-compile, the
+# native 32-bit test run, static analysis, the race detector over the
+# concurrent packages, and a fuzz smoke over the artifact loaders.
+check: build cross vet staticcheck test test-386 race fuzz-smoke

@@ -58,17 +58,7 @@ func fingerprintBatched(mon *edgedrift.Monitor, xs [][]float64, bs int) string {
 // and clamps splitting the batch mid-chunk.
 func TestGoldenStreamBatched(t *testing.T) {
 	ds := goldenDataset()
-	cases := []struct {
-		name  string
-		guard edgedrift.GuardPolicy
-		xs    [][]float64
-		want  string
-	}{
-		{"clean/reject", edgedrift.GuardReject, ds.TestX, goldenCleanFP},
-		{"poisoned/reject", edgedrift.GuardReject, poison(ds.TestX), goldenPoisonedFP},
-		{"poisoned/clamp", edgedrift.GuardClamp, poison(ds.TestX), goldenClampFP},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases(ds) {
 		for _, bs := range []int{1, 37, 64, 256} {
 			tc, bs := tc, bs
 			t.Run(fmt.Sprintf("%s/bs=%d", tc.name, bs), func(t *testing.T) {

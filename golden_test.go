@@ -9,6 +9,7 @@ import (
 
 	"edgedrift"
 	"edgedrift/internal/datasets/nslkdd"
+	"edgedrift/internal/mat"
 )
 
 // The golden-stream regression contract: the composable pipeline must be
@@ -101,22 +102,29 @@ func poison(xs [][]float64) [][]float64 {
 	return out
 }
 
+// goldenCase is one fingerprinted replay: a guard policy, its input
+// stream and the pinned fingerprint.
+type goldenCase struct {
+	name  string
+	guard edgedrift.GuardPolicy
+	xs    [][]float64
+	want  string
+}
+
+func goldenCases(ds *nslkdd.Dataset) []goldenCase {
+	return []goldenCase{
+		{"clean/reject", edgedrift.GuardReject, ds.TestX, goldenCleanFP},
+		{"poisoned/reject", edgedrift.GuardReject, poison(ds.TestX), goldenPoisonedFP},
+		{"poisoned/clamp", edgedrift.GuardClamp, poison(ds.TestX), goldenClampFP},
+	}
+}
+
 // TestGoldenStream locks the refactored pipeline to the pre-refactor
 // Monitor output: drift indices, labels, scores, distances, phases and
 // rejection flags must be bit-identical on the fixed NSL-KDD slice.
 func TestGoldenStream(t *testing.T) {
 	ds := goldenDataset()
-	cases := []struct {
-		name  string
-		guard edgedrift.GuardPolicy
-		xs    [][]float64
-		want  string
-	}{
-		{"clean/reject", edgedrift.GuardReject, ds.TestX, goldenCleanFP},
-		{"poisoned/reject", edgedrift.GuardReject, poison(ds.TestX), goldenPoisonedFP},
-		{"poisoned/clamp", edgedrift.GuardClamp, poison(ds.TestX), goldenClampFP},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases(ds) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -127,6 +135,39 @@ func TestGoldenStream(t *testing.T) {
 			got := fingerprint(mon, tc.xs)
 			if got != tc.want {
 				t.Errorf("golden fingerprint drifted: got %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestGoldenStreamScalarF64 replays the golden streams, per sample and
+// batched, with the float64 SIMD kernels switched off. The fingerprints
+// must be the same pinned bits TestGoldenStream and
+// TestGoldenStreamBatched get on the dispatching path, which runs the
+// AVX2 kernels wherever the CPU has them: SIMD on and off agree bit for
+// bit.
+func TestGoldenStreamScalarF64(t *testing.T) {
+	if !mat.F64SIMD() {
+		t.Skip("float64 SIMD kernels are off on this CPU; TestGoldenStream already runs the scalar path")
+	}
+	prev := mat.SetF64SIMD(false)
+	defer mat.SetF64SIMD(prev)
+	ds := goldenDataset()
+	for _, tc := range goldenCases(ds) {
+		t.Run(tc.name, func(t *testing.T) {
+			mon := goldenMonitor(t, tc.guard)
+			if err := mon.Fit(ds.TrainX, ds.TrainY); err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(mon, tc.xs); got != tc.want {
+				t.Errorf("scalar fingerprint drifted: got %s, want %s", got, tc.want)
+			}
+			batched := goldenMonitor(t, tc.guard)
+			if err := batched.Fit(ds.TrainX, ds.TrainY); err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprintBatched(batched, tc.xs, 64); got != tc.want {
+				t.Errorf("scalar batched fingerprint drifted: got %s, want %s", got, tc.want)
 			}
 		})
 	}

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"edgedrift/internal/core"
 	"edgedrift/internal/eval"
@@ -987,14 +988,14 @@ func (f *Fleet) MemberHealth() map[string]health.Snapshot {
 
 // memberOverheadBytes is the registry's own cost per member beyond the
 // stage's audit and the ID/cohort bytes (charged as len(id) +
-// len(cohort)): the member struct (mutex, 16-byte stage interface
-// header, the concrete instr pointer, the 16-byte batch, merger and
-// trans capability headers, the phase func value, the cohort string
-// header, the fingerprint, two uint64 counters, removed mark + padding
-// = 136), the map's *member value (8), and the string header of the map
-// key (16). Pinned to the real layout by an unsafe.Sizeof test so it
-// cannot rot when the struct changes.
-const memberOverheadBytes = 136 + 8 + 16
+// len(cohort)): the member struct (mutex, stage interface header, the
+// concrete instr pointer, the batch, merger and trans capability
+// headers, the phase func value, the cohort string header, the
+// fingerprint, two uint64 counters, removed mark + padding), the map's
+// *member value, and the string header of the map key — 136+8+16 = 160
+// bytes on 64-bit targets, 96 on 32-bit ones. Taken from unsafe.Sizeof
+// so it is right on every GOARCH and cannot rot when the struct changes.
+const memberOverheadBytes = int(unsafe.Sizeof(member{})) + int(unsafe.Sizeof((*member)(nil))) + int(unsafe.Sizeof(""))
 
 // MemoryBytes audits the whole fleet's retained state: the sum of every
 // member's audit plus the registry's own per-member overhead.

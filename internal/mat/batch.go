@@ -30,6 +30,18 @@ func MulBatch[E Element](dst, a, b *MatrixOf[E]) {
 		panic(ErrShape)
 	}
 	dc := dst.Cols
+	if simdF64[E](a.Cols) {
+		ad := asF64(a.Data)
+		if len(ad) < a.Rows*a.Cols {
+			panic(ErrShape)
+		}
+		last := a.Rows - 1
+		for i0 := 0; i0 <= last; i0 += batchRowBlock {
+			s0, s1, s2, s3 := rowPtrs(ad, i0, last, a.Cols)
+			mulBatchBlockF64(asF64(dst.Data), dc, i0, min(batchRowBlock, a.Rows-i0), asF64(b.Data), a.Cols, s0, s1, s2, s3)
+		}
+		return
+	}
 	for i0 := 0; i0 < a.Rows; i0 += batchRowBlock {
 		i1 := i0 + batchRowBlock
 		if i1 > a.Rows {
@@ -52,6 +64,10 @@ func MulBatch[E Element](dst, a, b *MatrixOf[E]) {
 func MulBatchTrans[E Element](dst, a, m *MatrixOf[E]) {
 	if dst.Rows != a.Rows || a.Cols != m.Rows || dst.Cols != m.Cols {
 		panic(ErrShape)
+	}
+	if simdF64[E](m.Cols) {
+		mulBatchTransF64(asF64(dst.Data), asF64(a.Data), asF64(m.Data), a.Rows, m.Rows, m.Cols)
+		return
 	}
 	for i := 0; i < a.Rows; i++ {
 		MulVecTrans(dst.Row(i), m, a.Row(i))
@@ -76,6 +92,15 @@ func MulBatchRows[E Element](dst *MatrixOf[E], xs [][]E, b *MatrixOf[E]) {
 			if len(xs[i]) != b.Cols {
 				panic(ErrShape)
 			}
+		}
+		if simdF64[E](b.Cols) {
+			last := i1 - 1
+			s0 := &asF64(xs[i0])[0]
+			s1 := &asF64(xs[min(i0+1, last)])[0]
+			s2 := &asF64(xs[min(i0+2, last)])[0]
+			s3 := &asF64(xs[min(i0+3, last)])[0]
+			mulBatchBlockF64(asF64(dst.Data), dc, i0, i1-i0, asF64(b.Data), b.Cols, s0, s1, s2, s3)
+			continue
 		}
 		for j := 0; j < b.Rows; j++ {
 			brow := b.Row(j)

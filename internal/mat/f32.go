@@ -1,26 +1,26 @@
 package mat
 
+import "math"
+
 // Float32 fast-path kernels. The generic kernel layer compiles to clean
-// scalar loops — gc does not auto-vectorize — so a float32 matvec runs
-// at the same MACs/cycle as float64 while the paper's pitch for f32 is
-// bandwidth and speed. These concrete float32 entry points dispatch to
-// hand-written AVX2+FMA kernels (f32_amd64.s) when the running CPU has
-// them and fall back to the shared generic kernels everywhere else
-// (including the GOARCH=arm cross-build and pre-AVX2 amd64).
+// scalar loops — gc does not auto-vectorize — so these concrete float32
+// entry points dispatch to hand-written AVX2+FMA kernels (f32_amd64.s)
+// when the running CPU has them and fall back to the shared generic
+// kernels everywhere else (including the GOARCH=arm cross-build and
+// pre-AVX2 amd64). float64 has SIMD kernels too, but reached from inside
+// the generic kernels and bit-exact against them (see f64.go); float32
+// gets its own entry points because its kernels are free to round
+// differently.
 //
-// The functions are deliberately non-generic: dispatching inside the
-// generic kernels on the element type would box slice headers through
-// interfaces and break the zero-allocation contract of the scoring hot
-// path.
-//
-// Numerically the SIMD kernels fuse multiply-adds and use wider
-// accumulator trees than the scalar reference, so float32 results are
-// CPU-feature-dependent within the usual accumulation-error envelope
-// (the f32 backend's tests are tolerance-based for exactly this
-// reason). What is guaranteed — and what the batch path relies on — is
-// self-consistency: the per-sample and batched entry points below share
-// one kernel per operation, so batched f32 scores are bit-identical to
-// per-sample f32 scores on any given machine.
+// Numerically the SIMD kernels fuse multiply-adds, use wider
+// accumulator trees than the scalar reference and (SigmoidF32) evaluate
+// exp at float32, so float32 results are CPU-feature-dependent within
+// the usual accumulation-error envelope (the f32 backend's tests are
+// tolerance-based for exactly this reason). What is guaranteed — and
+// what the batch path relies on — is self-consistency: the per-sample
+// and batched entry points below share one kernel per operation, so
+// batched f32 scores are bit-identical to per-sample f32 scores on any
+// given machine.
 
 // f32SIMD reports whether the AVX2+FMA kernels are usable on this CPU.
 // Set once at init by the amd64 feature probe; never true elsewhere.
@@ -41,20 +41,32 @@ func DotF32(a, b []float32) float32 {
 		panic(ErrShape)
 	}
 	if f32SIMD && len(a) >= f32SIMDMinLen {
-		return dotF32Asm(&a[0], &b[0], len(a))
+		// One dot through the four-dot kernel, the other three lanes
+		// repeating it: the same arithmetic MulVecF32 gives each row.
+		var out [4]float32
+		dot4F32Asm(&b[0], &a[0], &a[0], &a[0], &a[0], len(a), &out)
+		return out[0]
 	}
 	return dotKernel(a, b)
 }
 
-// MulVecF32 computes dst = m·x — the float32 MulVec with SIMD row dots.
+// MulVecF32 computes dst = m·x — the float32 MulVec, x dotted against
+// four rows of m per SIMD call.
 func MulVecF32(dst []float32, m *MatrixOf[float32], x []float32) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(ErrShape)
 	}
 	cols := m.Cols
 	if f32SIMD && cols >= f32SIMDMinLen {
-		for i := range dst {
-			dst[i] = dotF32Asm(&m.Data[i*cols], &x[0], cols)
+		if len(m.Data) < m.Rows*cols {
+			panic(ErrShape)
+		}
+		var out [4]float32
+		last := len(dst) - 1
+		for i := 0; i <= last; i += 4 {
+			r0, r1, r2, r3 := rowPtrs(m.Data, i, last, cols)
+			dot4F32Asm(&x[0], r0, r1, r2, r3, cols, &out)
+			copy(dst[i:], out[:])
 		}
 		return
 	}
@@ -96,31 +108,31 @@ func MulVecTransF32(dst []float32, m *MatrixOf[float32], x []float32) {
 }
 
 // MulBatchF32 is the float32 MulBatch: dst = a·bᵀ, each element the same
-// dot kernel MulVecF32 runs per row, blocked so a block of a's rows is
-// L1-resident while each b row streams once per block.
+// four-dot kernel MulVecF32 runs, blocked so a block of four of a's rows
+// is L1-resident while each b row streams once per block (and is dotted
+// against the whole block in one SIMD call).
 func MulBatchF32(dst, a, b *MatrixOf[float32]) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(ErrShape)
 	}
 	dc := dst.Cols
 	cols := a.Cols
-	simd := f32SIMD && cols >= f32SIMDMinLen
-	for i0 := 0; i0 < a.Rows; i0 += batchRowBlock {
-		i1 := i0 + batchRowBlock
-		if i1 > a.Rows {
-			i1 = a.Rows
-		}
+	if !f32SIMD || cols < f32SIMDMinLen {
+		MulBatch(dst, a, b)
+		return
+	}
+	if len(a.Data) < a.Rows*cols || len(b.Data) < b.Rows*cols {
+		panic(ErrShape)
+	}
+	var out [4]float32
+	last := a.Rows - 1
+	for i0 := 0; i0 <= last; i0 += batchRowBlock {
+		s0, s1, s2, s3 := rowPtrs(a.Data, i0, last, cols)
+		n := min(batchRowBlock, a.Rows-i0)
 		for j := 0; j < b.Rows; j++ {
-			if simd {
-				brow := &b.Data[j*cols]
-				for i := i0; i < i1; i++ {
-					dst.Data[i*dc+j] = dotF32Asm(brow, &a.Data[i*cols], cols)
-				}
-				continue
-			}
-			brow := b.Row(j)
-			for i := i0; i < i1; i++ {
-				dst.Data[i*dc+j] = dotKernel(brow, a.Row(i))
+			dot4F32Asm(&b.Data[j*cols], s0, s1, s2, s3, cols, &out)
+			for k := 0; k < n; k++ {
+				dst.Data[(i0+k)*dc+j] = out[k]
 			}
 		}
 	}
@@ -137,5 +149,25 @@ func MulBatchTransF32(dst, a *MatrixOf[float32], m *MatrixOf[float32]) {
 	}
 	for i := 0; i < a.Rows; i++ {
 		MulVecTransF32(dst.Row(i), m, a.Row(i))
+	}
+}
+
+// SigmoidF32 computes dst[i] = 1/(1+exp(−(dst[i]+bias[i]))) — the
+// OS-ELM sigmoid hidden activation at float32. The SIMD path evaluates
+// exp at float32 (a Cephes-style polynomial, about 1 ulp) eight lanes at
+// a time; the fallback evaluates it at float64 and narrows. Either way
+// the result depends only on the element's own inputs, so batched and
+// per-sample activations are bit-identical on a given machine.
+func SigmoidF32(dst, bias []float32) {
+	if len(bias) < len(dst) {
+		panic(ErrShape)
+	}
+	if f32SIMD && len(dst) > 0 {
+		sigmoidF32Asm(&dst[0], &bias[0], len(dst))
+		return
+	}
+	for i := range dst {
+		z := dst[i] + bias[i]
+		dst[i] = float32(1 / (1 + math.Exp(float64(-z))))
 	}
 }

@@ -7,8 +7,8 @@ package mat
 // dispatchers in f32.go compiling on every GOARCH (the ROADMAP's ARM
 // cross-build included).
 
-func dotF32Asm(a, b *float32, n int) float32 {
-	panic("mat: dotF32Asm called without SIMD support")
+func dot4F32Asm(x, r0, r1, r2, r3 *float32, n int, out *[4]float32) {
+	panic("mat: dot4F32Asm called without SIMD support")
 }
 
 func axpy4F32Asm(dst, b *float32, ldb int, s *[4]float32, n int) {
@@ -17,4 +17,8 @@ func axpy4F32Asm(dst, b *float32, ldb int, s *[4]float32, n int) {
 
 func axpy1F32Asm(dst, b *float32, s float32, n int) {
 	panic("mat: axpy1F32Asm called without SIMD support")
+}
+
+func sigmoidF32Asm(dst, bias *float32, n int) {
+	panic("mat: sigmoidF32Asm called without SIMD support")
 }

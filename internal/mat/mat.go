@@ -179,6 +179,10 @@ func Mul[E Element](dst, a, b *MatrixOf[E]) {
 		for j := range drow {
 			drow[j] = 0
 		}
+		if simdF64[E](bc) {
+			axpyRowsF64(asF64(drow), asF64(arow), 1, asF64(b.Data), bc, n)
+			continue
+		}
 		var k int
 		for ; k < n8; k += 8 {
 			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
@@ -248,6 +252,14 @@ func MulTransA[E Element](dst, a, b *MatrixOf[E]) {
 		dst.Data[i] = 0
 	}
 	n := a.Rows
+	if simdF64[E](b.Cols) && n > 0 {
+		// Row i of dst receives the same sequence of four-row updates as
+		// in the loops below; rows are independent, so i can lead.
+		for i := 0; i < a.Cols; i++ {
+			axpyRowsF64(asF64(dst.Row(i)), asF64(a.Data[i:]), a.Cols, asF64(b.Data), b.Cols, n)
+		}
+		return
+	}
 	n4 := n &^ 3
 	n8 := n &^ 7
 	var k int
@@ -307,6 +319,10 @@ func MulVec[E Element](dst []E, m *MatrixOf[E], x []E) {
 		panic(ErrShape)
 	}
 	cols := m.Cols
+	if simdF64[E](cols) {
+		mulVecF64(asF64(dst), asF64(m.Data), asF64(x))
+		return
+	}
 	for i := range dst {
 		dst[i] = dotKernel(m.Data[i*cols:i*cols+cols], x)
 	}
@@ -324,6 +340,10 @@ func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 	}
 	cols := m.Cols
 	n := m.Rows
+	if simdF64[E](cols) {
+		axpyRowsF64(asF64(dst), asF64(x), 1, asF64(m.Data), cols, n)
+		return
+	}
 	n4 := n &^ 3
 	var i int
 	for ; i < n4; i += 4 {
@@ -361,6 +381,10 @@ func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 func (m *MatrixOf[E]) AddScaledOuter(s E, u, v []E) {
 	if len(u) != m.Rows || len(v) != m.Cols {
 		panic(ErrShape)
+	}
+	if simdF64[E](m.Cols) && !overlaps(asF64(v), asF64(m.Data)) {
+		addScaledOuterF64(asF64(m.Data), float64(s), asF64(u), asF64(v))
+		return
 	}
 	cols := m.Cols
 	n := len(u)

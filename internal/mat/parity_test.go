@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -302,5 +303,184 @@ func TestBatchKernelShapePanics(t *testing.T) {
 			}()
 			tc.fn()
 		}()
+	}
+}
+
+// f64Mode selects the inputs of the float64 SIMD parity sweep: finite
+// values with exact and signed zeros and subnormals, then huge
+// magnitudes whose products overflow to ±Inf (and whose Inf sums cancel
+// to NaN), then NaN inputs.
+type f64Mode int
+
+const (
+	f64Finite f64Mode = iota
+	f64Overflow
+	f64NaN
+)
+
+func fillSpecialF64(rng *rand.Rand, data []float64, mode f64Mode) {
+	for i := range data {
+		sign := 1.0
+		if rng.Intn(2) == 0 {
+			sign = -1
+		}
+		switch k := rng.Intn(16); {
+		case k == 0:
+			data[i] = 0
+		case k == 1:
+			data[i] = math.Copysign(0, -1)
+		case k == 2:
+			data[i] = sign * math.Float64frombits(uint64(rng.Int63n(1<<52))) // subnormal
+		case k == 3:
+			data[i] = sign * 1e-300 * rng.Float64() // products underflow to ±0
+		case k == 4 && mode >= f64Overflow:
+			data[i] = sign * 1e300 * (1 + rng.Float64())
+		case k == 5 && mode == f64NaN:
+			data[i] = math.NaN()
+		default:
+			data[i] = rng.NormFloat64()
+		}
+	}
+}
+
+func specialF64(rng *rand.Rand, r, c int, mode f64Mode) *Matrix {
+	m := New(r, c)
+	fillSpecialF64(rng, m.Data, mode)
+	return m
+}
+
+// requireSameF64 demands Float64bits-identical results, except that two
+// NaNs match whatever their payloads.
+func requireSameF64(t *testing.T, got, want []float64, what string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// f64Kernels runs every float64 kernel with a SIMD path on one set of
+// operands and returns the outputs in a fixed order.
+func f64Kernels(w *Matrix, x, hx []float64, a, hb *Matrix, s float64) [][]float64 {
+	h, d, n := w.Rows, w.Cols, a.Rows
+	mv := make([]float64, h)
+	MulVec(mv, w, x)
+	mvt := make([]float64, d)
+	MulVecTrans(mvt, w, hx)
+	mb := New(n, h)
+	MulBatch(mb, a, w)
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = a.Row(i)
+	}
+	mbr := New(n, h)
+	MulBatchRows(mbr, xs, w)
+	mbt := New(n, d)
+	MulBatchTrans(mbt, hb, w)
+	mul := New(n, d)
+	Mul(mul, hb, w)
+	mta := New(h, d)
+	MulTransA(mta, hb, a)
+	outer := w.Clone()
+	outer.AddScaledOuter(s, hx, x)
+	// v aliasing a row of m must keep the scalar update order.
+	alias := w.Clone()
+	alias.AddScaledOuter(s, hx, alias.Row(h-1))
+	return [][]float64{mv, mvt, mb.Data, mbr.Data, mbt.Data, mul.Data, mta.Data, outer.Data, alias.Data}
+}
+
+var f64KernelNames = []string{"MulVec", "MulVecTrans", "MulBatch", "MulBatchRows", "MulBatchTrans",
+	"Mul", "MulTransA", "AddScaledOuter", "AddScaledOuter(aliased v)"}
+
+// TestF64SIMDBitExact pins the float64 SIMD contract: with the AVX2
+// path on, every kernel returns Float64bits-identical results to the
+// scalar generic code, on ragged shapes (vector lengths below and
+// around the 4-lane step, every length mod 4, row counts not divisible
+// by four) and on ±0, subnormal, overflowing and NaN inputs.
+func TestF64SIMDBitExact(t *testing.T) {
+	if !f64SIMDCPU {
+		t.Skip("float64 SIMD kernels not available on this CPU")
+	}
+	defer SetF64SIMD(true)
+	rng := rand.New(rand.NewSource(9))
+	lens := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 22, 38, 511}
+	rows := []int{1, 2, 3, 4, 5, 6, 7, 9, 22}
+	for _, mode := range []f64Mode{f64Finite, f64Overflow, f64NaN} {
+		for _, d := range lens {
+			for _, h := range rows {
+				n := 1 + (7*d+h)%9 // batch size, every value in 1..9
+				w := specialF64(rng, h, d, mode)
+				x := make([]float64, d)
+				fillSpecialF64(rng, x, mode)
+				hx := make([]float64, h)
+				fillSpecialF64(rng, hx, mode)
+				a := specialF64(rng, n, d, mode)
+				hb := specialF64(rng, n, h, mode)
+				s := rng.NormFloat64()
+
+				SetF64SIMD(true)
+				got := f64Kernels(w, x, hx, a, hb, s)
+				SetF64SIMD(false)
+				want := f64Kernels(w, x, hx, a, hb, s)
+				for k := range want {
+					requireSameF64(t, got[k], want[k],
+						fmt.Sprintf("mode %d %s h=%d d=%d n=%d", mode, f64KernelNames[k], h, d, n))
+				}
+			}
+		}
+	}
+}
+
+// TestSigmoidF32SIMDMatchesScalar bounds the float32-evaluated SIMD
+// sigmoid against the float64-evaluated fallback: a few float32 ulps
+// relative (an absolute floor covers the clamped far negative tail),
+// NaN in gives NaN out, and every vector length exercises the masked
+// tail.
+func TestSigmoidF32SIMDMatchesScalar(t *testing.T) {
+	if !f32SIMD {
+		t.Skip("SIMD kernels not available on this CPU")
+	}
+	defer func() { f32SIMD = true }()
+	rng := rand.New(rand.NewSource(10))
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-40, -1e-40, 87, -87, 88.5, -88.5, 100, -100,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for n := 1; n <= 41; n++ {
+		z := make([]float32, n)
+		bias := make([]float32, n)
+		for i := range z {
+			if rng.Intn(4) == 0 {
+				z[i] = specials[rng.Intn(len(specials))]
+			} else {
+				z[i] = float32(rng.NormFloat64() * 8)
+			}
+			bias[i] = float32(rng.NormFloat64())
+		}
+		got := append([]float32(nil), z...)
+		want := append([]float32(nil), z...)
+		f32SIMD = true
+		SigmoidF32(got, bias)
+		f32SIMD = false
+		SigmoidF32(want, bias)
+		f32SIMD = true
+		for i := range want {
+			g, w := float64(got[i]), float64(want[i])
+			if math.IsNaN(w) || math.IsNaN(g) {
+				if math.IsNaN(w) != math.IsNaN(g) {
+					t.Fatalf("n=%d i=%d z=%v: simd %v scalar %v (NaN-ness differs)", n, i, z[i]+bias[i], g, w)
+				}
+				continue
+			}
+			if math.Abs(g-w) > 4e-7*math.Abs(w)+1e-37 {
+				t.Fatalf("n=%d i=%d z=%v: simd %v scalar %v", n, i, z[i]+bias[i], g, w)
+			}
+		}
 	}
 }

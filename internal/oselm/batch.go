@@ -94,7 +94,7 @@ func (m *Model) forwardBatch(chunk [][]float64) {
 		hb := viewRows(bb.hb32, n)
 		mat.MulBatchF32(&hb, &xb, m.w32)
 		for i := 0; i < n; i++ {
-			activateKernel(hb.Row(i), m.bias32, m.cfg.Activation)
+			activate32(hb.Row(i), m.bias32, m.cfg.Activation)
 		}
 		ob := viewRows(bb.ob32, n)
 		mat.MulBatchTransF32(&ob, &hb, m.beta32)

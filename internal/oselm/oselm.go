@@ -313,22 +313,40 @@ func hiddenKernel[E mat.Element](dst []E, w *mat.MatrixOf[E], bias, x []E, act A
 
 // activateKernel applies g(z + b) in place — factored out of
 // hiddenKernel so the batched forward (which computes the matvec part as
-// a GEMM) and the float32 SIMD path run the exact same element-wise
-// arithmetic as the per-sample kernel: bias add and activation at E,
-// transcendental evaluated at float64 and narrowed, identically in every
-// entry point.
+// a GEMM) runs the exact same element-wise arithmetic as the per-sample
+// kernel: bias add and activation at E, transcendental evaluated at
+// float64 and narrowed, identically in every entry point. The
+// activation switch runs once per vector, not per element. The float32
+// backend goes through activate32.
 func activateKernel[E mat.Element](dst, bias []E, act Activation) {
-	for i := range dst {
-		z := dst[i] + bias[i]
-		switch act {
-		case Sigmoid:
+	bias = bias[:len(dst)]
+	switch act {
+	case Sigmoid:
+		for i := range dst {
+			z := dst[i] + bias[i]
 			dst[i] = E(1 / (1 + math.Exp(float64(-z))))
-		case Tanh:
-			dst[i] = E(math.Tanh(float64(z)))
-		case Linear:
-			dst[i] = z
+		}
+	case Tanh:
+		for i := range dst {
+			dst[i] = E(math.Tanh(float64(dst[i] + bias[i])))
+		}
+	case Linear:
+		for i := range dst {
+			dst[i] += bias[i]
 		}
 	}
+}
+
+// activate32 is the float32 backend's activation: the sigmoid runs
+// through mat.SigmoidF32 (vectorised where the CPU allows), the others
+// through activateKernel. Every float32 forward pass calls it, which
+// keeps batched and per-sample float32 activations bit-identical.
+func activate32(dst, bias []float32, act Activation) {
+	if act == Sigmoid {
+		mat.SigmoidF32(dst, bias)
+		return
+	}
+	activateKernel(dst, bias, act)
 }
 
 // opsHidden charges the operation counter for one hidden-layer pass;
@@ -363,7 +381,7 @@ func (m *Model) hidden32(x []float64) {
 	// CPU has them; the batched path runs the same kernel, which is what
 	// keeps batch and per-sample f32 scores bit-identical (see mat/f32.go).
 	mat.MulVecF32(m.h32, m.w32, m.x32)
-	activateKernel(m.h32, m.bias32, m.cfg.Activation)
+	activate32(m.h32, m.bias32, m.cfg.Activation)
 	m.opsHidden()
 }
 

@@ -274,6 +274,8 @@ type Batch struct {
 
 // ParseBatch parses a Batch payload without decoding the samples, so a
 // router can route on the header alone and relay the bytes untouched.
+// The geometry is checked in uint64 against MaxFrame, so a header whose
+// count×dims×8 would wrap a 32-bit int is rejected, not trusted.
 func ParseBatch(p []byte) (Batch, error) {
 	var b Batch
 	stream, rest, err := parseString(p)
@@ -283,30 +285,47 @@ func ParseBatch(p []byte) (Batch, error) {
 	if len(rest) < 6 {
 		return b, fmt.Errorf("%w: short batch header", ErrProtocol)
 	}
+	dims := uint64(binary.LittleEndian.Uint16(rest))
+	count := uint64(binary.LittleEndian.Uint32(rest[2:]))
 	b.Stream = stream
-	b.Dims = int(binary.LittleEndian.Uint16(rest))
-	b.Count = int(binary.LittleEndian.Uint32(rest[2:]))
 	b.Samples = rest[6:]
-	if b.Dims == 0 || b.Count == 0 {
-		return b, fmt.Errorf("%w: empty batch geometry %dx%d", ErrProtocol, b.Count, b.Dims)
+	if dims == 0 || count == 0 {
+		return b, fmt.Errorf("%w: empty batch geometry %dx%d", ErrProtocol, count, dims)
 	}
-	if len(b.Samples) != b.Count*b.Dims*8 {
-		return b, fmt.Errorf("%w: batch payload %d bytes, want %d", ErrProtocol, len(b.Samples), b.Count*b.Dims*8)
+	if want := count * dims * 8; want > MaxFrame || uint64(len(b.Samples)) != want {
+		return b, fmt.Errorf("%w: batch payload %d bytes, want %d", ErrProtocol, len(b.Samples), want)
 	}
+	b.Dims, b.Count = int(dims), int(count)
 	return b, nil
 }
 
-// Decode materialises the batch into dst (reused across batches; rows
-// are grown as needed). The result is valid as long as dst's rows are.
+// Decode materialises the batch into dst and returns it. When dst's rows
+// (up to its capacity) can hold the batch they are reused, so a caller
+// that keeps dst across batches decodes without allocating; otherwise
+// the rows are carved from one fresh backing array, which with a fresh
+// row slice is two allocations per batch. The result is valid as long
+// as dst's rows are.
 func (b Batch) Decode(dst [][]float64) [][]float64 {
-	dst = dst[:0]
-	for i := 0; i < b.Count; i++ {
-		row := make([]float64, b.Dims)
+	if cap(dst) < b.Count {
+		dst = make([][]float64, b.Count)
+	}
+	dst = dst[:b.Count]
+	for _, row := range dst {
+		if cap(row) < b.Dims {
+			flat := make([]float64, b.Count*b.Dims)
+			for i := range dst {
+				dst[i] = flat[i*b.Dims : (i+1)*b.Dims : (i+1)*b.Dims]
+			}
+			break
+		}
+	}
+	for i := range dst {
+		row := dst[i][:b.Dims]
+		dst[i] = row
 		off := i * b.Dims * 8
-		for j := 0; j < b.Dims; j++ {
+		for j := range row {
 			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(b.Samples[off+j*8:]))
 		}
-		dst = append(dst, row)
 	}
 	return dst
 }

@@ -53,6 +53,73 @@ func TestBatchRejects(t *testing.T) {
 	}
 }
 
+// TestBatchGeometryWrapRejected is the 32-bit crash regression: a
+// 17-byte Batch frame declaring dims=1, count=2^29 and carrying no
+// samples. count×dims×8 = 2^32 wraps a 32-bit int to 0, which matched
+// the empty payload, and Decode then indexed past it. The frame must be
+// rejected on every architecture.
+func TestBatchGeometryWrapRejected(t *testing.T) {
+	payload := []byte{4, 0, 'e', 'v', 'i', 'l', 1, 0, 0, 0, 0, 0x20} // stream, dims=1, count=2^29
+	frame := append([]byte{byte(len(payload) + 1), 0, 0, 0, TypeBatch}, payload...)
+	if len(frame) != 17 {
+		t.Fatalf("frame is %d bytes, want 17", len(frame))
+	}
+	a, c := net.Pipe()
+	defer a.Close()
+	defer c.Close()
+	go a.Write(frame)
+	typ, p, err := NewConn(c).ReadFrame()
+	if err != nil || typ != TypeBatch {
+		t.Fatalf("ReadFrame: type %#x, %v", typ, err)
+	}
+	b, err := ParseBatch(p)
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("wrapping batch geometry accepted as %dx%d (%v)", b.Count, b.Dims, err)
+	}
+}
+
+// TestBatchDecodeAllocs pins Decode's allocation contract: two
+// allocations for a fresh batch (one backing array, one row slice) and
+// none when the previous result is handed back as dst.
+func TestBatchDecodeAllocs(t *testing.T) {
+	xs := make([][]float64, 16)
+	for i := range xs {
+		xs[i] = make([]float64, 38)
+		for j := range xs[i] {
+			xs[i][j] = float64(i*38 + j)
+		}
+	}
+	p, err := AppendBatch(nil, "s", xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseBatch(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { b.Decode(nil) }); n != 2 {
+		t.Fatalf("Decode(nil): %v allocations per batch, want 2", n)
+	}
+	dst := b.Decode(nil)
+	if n := testing.AllocsPerRun(50, func() { dst = b.Decode(dst) }); n != 0 {
+		t.Fatalf("Decode(reused): %v allocations per batch, want 0", n)
+	}
+	if !reflect.DeepEqual(dst, xs) {
+		t.Fatal("reused decode differs from the encoded batch")
+	}
+	// A shorter batch reuses the leading rows; a wider one re-carves.
+	short, _ := AppendBatch(nil, "s", xs[:3])
+	sb, _ := ParseBatch(short)
+	if got := sb.Decode(dst); !reflect.DeepEqual(got, xs[:3]) {
+		t.Fatal("shorter batch decoded wrong into reused rows")
+	}
+	wide, _ := AppendBatch(nil, "s", [][]float64{make([]float64, 40), make([]float64, 40)})
+	wb, _ := ParseBatch(wide)
+	if got := wb.Decode(dst); len(got) != 2 || len(got[0]) != 40 || len(got[1]) != 40 {
+		t.Fatal("wider batch decoded to the wrong shape")
+	}
+}
+
 func TestResultsRoundTripBitExact(t *testing.T) {
 	rs := []core.Result{
 		{Label: 3, Score: 0.123456789, Phase: core.Checking, Dist: 1.5},
