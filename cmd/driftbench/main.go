@@ -15,6 +15,7 @@
 //	driftbench precision -json BENCH_6.json  # f64/f32/q16 scoring throughput
 //	driftbench shard -addr :7600      # one shard of the distributed serve tier
 //	driftbench route -shards host1:7600,host2:7600  # consistent-hash router
+//	driftbench shard -cpuprofile shard.pprof  # profile a serving process until SIGINT
 //	driftbench loadgen -shard-range 1,2,4 -json BENCH_7.json  # tier scaling curve
 //	driftbench coop -json BENCH_8.json  # cooperative vs per-stream drift recovery
 //	driftbench scenarios -json BENCH_9.json  # label-delay matrix: hybrid detection + model pool
@@ -123,19 +124,12 @@ func run() int {
 		todo = []eval.Experiment{e}
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+		return 1
 	}
+	defer stopProfile()
 
 	if err := runAll(todo, *seed, *parallel, *csvDir); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -149,6 +143,30 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// startCPUProfile starts a CPU profile into path and returns the
+// function that stops it and closes the file; an empty path profiles
+// nothing. Callers defer the stop, so the profile is flushed on every
+// return path — the serving subcommands return after a SIGINT shutdown.
+func startCPUProfile(path string) (stop func(), err error) {
+	if path == "" {
+		return func() {}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+		}
+	}, nil
 }
 
 // writeMemProfile snapshots the heap to path, reporting close errors so

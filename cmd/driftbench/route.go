@@ -23,6 +23,7 @@ func runRoute(args []string) int {
 	shards := fs.String("shards", "", "comma-separated shard addresses (required)")
 	vnodes := fs.Int("vnodes", 64, "ring points per shard")
 	pool := fs.Int("pool", 4, "idle connections kept per shard")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the serving process to this file, flushed on SIGINT shutdown")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -42,6 +43,13 @@ func runRoute(args []string) int {
 		fmt.Fprintf(os.Stderr, "route: %v\n", err)
 		return 1
 	}
+	stopProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "route: cpuprofile: %v\n", err)
+		return 1
+	}
+	defer stopProfile()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "route: %v\n", err)

@@ -60,6 +60,7 @@ func runShard(args []string) int {
 	pressureBudget := fs.Duration("pressure-latency-budget", 0, "per-batch ingest p99 budget; >0 runs the adaptive capacity governor, demoting members while the windowed p99 exceeds it")
 	pressureMem := fs.Int("pressure-memory-budget", 0, "fleet retained-bytes budget for the governor (0 leaves the memory axis unenforced)")
 	pressureInterval := fs.Duration("pressure-interval", 0, "governor sampling interval (0 means 500ms)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the serving process to this file, flushed on SIGINT shutdown")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -100,6 +101,13 @@ func runShard(args []string) int {
 		fmt.Fprintf(os.Stderr, "shard: %v\n", err)
 		return 1
 	}
+	stopProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shard: cpuprofile: %v\n", err)
+		return 1
+	}
+	defer stopProfile()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shard: %v\n", err)

@@ -16,8 +16,10 @@
 // lost or double-counted samples.
 //
 // The hot path is a zero-copy relay: the router parses only the batch
-// header (for the stream name), forwards the raw payload to the owning
-// shard over a pooled connection, and relays the reply frame verbatim.
+// header (for the stream name, interned per client connection), forwards
+// the raw payload to the owning shard over a pooled connection, and
+// relays the reply frame verbatim out of that connection's read buffer.
+// A steady-state relay allocates nothing.
 package router
 
 import (
@@ -208,6 +210,7 @@ func (r *Router) serveConn(c *wire.Conn) {
 	if err := c.AcceptHandshake(); err != nil {
 		return
 	}
+	var names wire.Names
 	for {
 		typ, p, err := c.ReadFrame()
 		if err != nil {
@@ -218,7 +221,7 @@ func (r *Router) serveConn(c *wire.Conn) {
 		}
 		switch typ {
 		case wire.TypeBatch:
-			if !r.forward(c, p) {
+			if !r.forward(c, &names, p) {
 				return
 			}
 		case wire.TypeStats:
@@ -244,46 +247,27 @@ func (r *Router) serveConn(c *wire.Conn) {
 // forward relays one batch frame to the owning shard and its reply
 // (ack, shed or error) back verbatim. Returns false when the client
 // connection is dead.
-func (r *Router) forward(c *wire.Conn, p []byte) bool {
-	b, err := wire.ParseBatch(p)
+func (r *Router) forward(c *wire.Conn, names *wire.Names, p []byte) bool {
+	b, err := names.ParseBatch(p)
 	if err != nil {
 		return c.WriteFrame(wire.TypeError, []byte(err.Error())) == nil
 	}
 	e := r.entryFor(b.Stream)
 	e.mu.RLock()
-	typ, reply, err := r.exchange(e.addr, wire.TypeBatch, p)
+	addr := e.addr
+	pl := r.poolFor(addr)
+	sc, typ, reply, err := pl.exchange(wire.TypeBatch, p)
 	e.mu.RUnlock()
 	if err != nil {
 		r.forwardErrs.Inc()
-		return c.WriteFrame(wire.TypeError, []byte(fmt.Sprintf("router: shard %s: %v", e.addr, err))) == nil
+		return c.WriteFrame(wire.TypeError, []byte(fmt.Sprintf("router: shard %s: %v", addr, err))) == nil
 	}
 	r.batches.Inc()
-	return c.WriteFrame(typ, reply) == nil
-}
-
-// exchange runs one request/reply round-trip against a shard over a
-// pooled connection. The reply payload is copied (the pooled conn's
-// read buffer must not escape the call). There is no automatic retry:
-// once the request may have been received, retrying could double-count
-// samples.
-func (r *Router) exchange(addr string, typ byte, payload []byte) (byte, []byte, error) {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := sc.WriteFrame(typ, payload); err != nil {
-		sc.Close()
-		return 0, nil, err
-	}
-	rtyp, reply, err := sc.ReadFrame()
-	if err != nil {
-		sc.Close()
-		return 0, nil, err
-	}
-	reply = append([]byte(nil), reply...)
+	// The reply is written straight from the shard connection's read
+	// buffer, so the connection rejoins the pool only afterwards.
+	werr := c.WriteFrame(typ, reply)
 	pl.put(sc)
-	return rtyp, reply, nil
+	return werr == nil
 }
 
 func (r *Router) poolFor(addr string) *pool {
@@ -343,46 +327,16 @@ func (r *Router) Migrate(stream, to string) error {
 	return nil
 }
 
-func (r *Router) migrateOut(addr, stream string) (wire.State, error) {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
-	if err != nil {
-		return wire.State{}, err
-	}
-	st, err := wire.NewClient(sc).MigrateOut(stream)
-	if err != nil {
-		// A RemoteError leaves the connection in protocol sync; anything
-		// else means the conn state is unknown.
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			pl.put(sc)
-		} else {
-			sc.Close()
-		}
-		return wire.State{}, err
-	}
-	pl.put(sc)
-	return st, nil
+func (r *Router) migrateOut(addr, stream string) (st wire.State, err error) {
+	err = r.poolFor(addr).call(func(cl *wire.Client) error {
+		st, err = cl.MigrateOut(stream)
+		return err
+	})
+	return st, err
 }
 
 func (r *Router) migrateIn(addr string, st wire.State) error {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
-	if err != nil {
-		return err
-	}
-	err = wire.NewClient(sc).MigrateIn(st)
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			pl.put(sc)
-		} else {
-			sc.Close()
-		}
-		return err
-	}
-	pl.put(sc)
-	return nil
+	return r.poolFor(addr).call(func(cl *wire.Client) error { return cl.MigrateIn(st) })
 }
 
 // Recover re-seeds a drifted stream's model from the mergeable states
@@ -435,61 +389,30 @@ func (r *Router) Recover(stream string, peers []string) error {
 	return nil
 }
 
-func (r *Router) fetchState(addr, stream string) (wire.MergeStates, error) {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
-	if err != nil {
-		return wire.MergeStates{}, err
-	}
-	ms, err := wire.NewClient(sc).FetchState(stream)
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			pl.put(sc)
-		} else {
-			sc.Close()
-		}
-		return wire.MergeStates{}, err
-	}
-	pl.put(sc)
-	return ms, nil
+func (r *Router) fetchState(addr, stream string) (ms wire.MergeStates, err error) {
+	err = r.poolFor(addr).call(func(cl *wire.Client) error {
+		ms, err = cl.FetchState(stream)
+		return err
+	})
+	return ms, err
 }
 
 func (r *Router) mergeSeed(addr string, ms wire.MergeStates) error {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
-	if err != nil {
-		return err
-	}
-	err = wire.NewClient(sc).MergeSeed(ms)
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			pl.put(sc)
-		} else {
-			sc.Close()
-		}
-		return err
-	}
-	pl.put(sc)
-	return nil
+	return r.poolFor(addr).call(func(cl *wire.Client) error { return cl.MergeSeed(ms) })
 }
 
 // Stats aggregates the counter snapshots of every shard.
 func (r *Router) Stats() (wire.Stats, error) {
 	var agg wire.Stats
 	for _, addr := range r.cfg.Shards {
-		pl := r.poolFor(addr)
-		sc, err := pl.get()
+		var st wire.Stats
+		err := r.poolFor(addr).call(func(cl *wire.Client) (err error) {
+			st, err = cl.Stats()
+			return err
+		})
 		if err != nil {
 			return agg, fmt.Errorf("router: stats from %s: %w", addr, err)
 		}
-		st, err := wire.NewClient(sc).Stats()
-		if err != nil {
-			sc.Close()
-			return agg, fmt.Errorf("router: stats from %s: %w", addr, err)
-		}
-		pl.put(sc)
 		agg.Streams += st.Streams
 		agg.Samples += st.Samples
 		agg.Drifts += st.Drifts
@@ -592,6 +515,47 @@ type pool struct {
 	addr    string
 	timeout time.Duration
 	ch      chan *wire.Conn
+}
+
+// exchange runs one request/reply round-trip over a pooled connection.
+// The reply aliases the connection's read buffer, so the connection is
+// returned with it: the caller puts it back once done with the reply.
+// On error the connection is already closed. There is no automatic
+// retry: once the request may have been received, retrying could
+// double-count samples.
+func (p *pool) exchange(typ byte, payload []byte) (*wire.Conn, byte, []byte, error) {
+	sc, err := p.get()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if err := sc.WriteFrame(typ, payload); err != nil {
+		sc.Close()
+		return nil, 0, nil, err
+	}
+	rtyp, reply, err := sc.ReadFrame()
+	if err != nil {
+		sc.Close()
+		return nil, 0, nil, err
+	}
+	return sc, rtyp, reply, nil
+}
+
+// call runs one control request over a pooled connection. A
+// RemoteError leaves the connection in protocol sync, so it rejoins the
+// pool; after any other error its state is unknown and it is closed.
+func (p *pool) call(req func(*wire.Client) error) error {
+	sc, err := p.get()
+	if err != nil {
+		return err
+	}
+	err = req(wire.NewClient(sc))
+	var re *wire.RemoteError
+	if err == nil || errors.As(err, &re) {
+		p.put(sc)
+	} else {
+		sc.Close()
+	}
+	return err
 }
 
 // get returns an idle connection or dials a fresh one.

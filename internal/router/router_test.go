@@ -492,3 +492,147 @@ func TestCrossShardRecovery(t *testing.T) {
 		t.Fatalf("metrics missing recovery counter:\n%s", mbuf.String())
 	}
 }
+
+// TestRouterForwardZeroAllocs pins the relay's allocation contract: a
+// steady-state batch round trip through router and shard (the shard
+// running it inline) allocates nothing anywhere, client included.
+func TestRouterForwardZeroAllocs(t *testing.T) {
+	template, stream := testTemplate(t)
+	_, addr, _ := startTier(t, 1, template)
+	conn, err := wire.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload, err := wire.AppendBatch(nil, "s", stream[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func() {
+		if err := conn.WriteFrame(wire.TypeBatch, payload); err != nil {
+			t.Fatal(err)
+		}
+		if typ, p, err := conn.ReadFrame(); err != nil || typ != wire.TypeBatchAck {
+			t.Fatalf("reply %#x %q: %v", typ, p, err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		roundTrip() // create the stream, dial the pool, size every buffer
+	}
+	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
+		t.Fatalf("steady-state relay: %v allocations per round trip, want 0", n)
+	}
+}
+
+// TestPipelinedOrder sends bursts and idle gaps of batches for several
+// streams down one pipelined connection, straight to a shard and
+// through the router, so the shard's batches cross between its inline
+// and queued paths. Every stream's results must equal a local replay:
+// per-connection FIFO holds on both paths and across the switch.
+func TestPipelinedOrder(t *testing.T) {
+	template, stream := testTemplate(t)
+	_, raddr, shards := startTier(t, 1, template)
+	for _, tc := range []struct{ name, addr string }{{"shard", shards[0]}, {"router", raddr}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pipelinedOrder(t, tc.addr, tc.name, template, stream)
+		})
+	}
+}
+
+func pipelinedOrder(t *testing.T, addr, prefix string, template []byte, stream [][]float64) {
+	const nStreams, perStream = 4, 1600
+	type batch struct {
+		id string
+		xs [][]float64
+	}
+	// Each stream walks the drifted stream from its own offset (through
+	// the drift and the reconstruction) in batches of 1–40 samples;
+	// the streams' batches are then interleaved at random.
+	r := rng.New(3)
+	queues := make([][]batch, nStreams)
+	for i := range queues {
+		id := fmt.Sprintf("%s-%d", prefix, i)
+		for off := 0; off < perStream; {
+			n := min(1+r.Intn(40), perStream-off)
+			start := i*50 + off
+			queues[i] = append(queues[i], batch{id, stream[start : start+n]})
+			off += n
+		}
+	}
+	var plan []batch
+	for len(queues) > 0 {
+		i := r.Intn(len(queues))
+		plan = append(plan, queues[i][0])
+		if queues[i] = queues[i][1:]; len(queues[i]) == 0 {
+			queues = append(queues[:i], queues[i+1:]...)
+		}
+	}
+
+	conn, err := wire.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	got := map[string][]edgedrift.Result{}
+	readErr := make(chan error, 1)
+	go func() {
+		for range plan {
+			typ, p, err := conn.ReadFrame()
+			if err != nil {
+				readErr <- err
+				return
+			}
+			if typ != wire.TypeBatchAck {
+				readErr <- fmt.Errorf("reply %#x %q, want a batch ack", typ, p)
+				return
+			}
+			id, rs, err := wire.ParseResults(p, nil)
+			if err != nil {
+				readErr <- err
+				return
+			}
+			got[id] = append(got[id], rs...)
+		}
+		readErr <- nil
+	}()
+	// Bursts of 1–8 back-to-back batches queue behind each other; an
+	// idle gap after a burst lets the next batch run inline again.
+	var payload []byte
+	for i := 0; i < len(plan); {
+		for end := min(i+1+r.Intn(8), len(plan)); i < end; i++ {
+			if payload, err = wire.AppendBatch(payload[:0], plan[i].id, plan[i].xs); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.WriteFrame(wire.TypeBatch, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.Intn(2) == 0 {
+			time.Sleep(time.Duration(r.Intn(1000)) * time.Microsecond)
+		}
+	}
+	if err := <-readErr; err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string][]edgedrift.Result{}
+	refs := map[string]*edgedrift.Monitor{}
+	for _, b := range plan {
+		if refs[b.id] == nil {
+			mon, err := edgedrift.LoadMonitor(bytes.NewReader(template))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[b.id] = mon
+		}
+		want[b.id] = append(want[b.id], refs[b.id].ProcessBatch(nil, b.xs)...)
+	}
+	if len(got) != nStreams {
+		t.Fatalf("acks for %d streams, want %d", len(got), nStreams)
+	}
+	for id, w := range want {
+		if !reflect.DeepEqual(got[id], w) {
+			t.Fatalf("%s: pipelined results diverge from local replay", id)
+		}
+	}
+}

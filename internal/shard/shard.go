@@ -15,6 +15,16 @@
 // a shed batch is never processed, so sent == processed + shed holds
 // exactly — the accounting loadgen asserts.
 //
+// A batch runs to completion on the reader itself, skipping the
+// hand-off to the worker, when two conditions hold: the worker has no
+// admitted batch left unanswered (a per-connection pending count that
+// only the reader increments, so zero means nothing is ahead of the
+// batch), and no further input is buffered behind it. Order is
+// therefore FIFO across both paths, and a burst — input already
+// waiting — still goes through the queue and still sheds. The inline
+// path decodes into a reused buffer and interns stream names, so a
+// steady-state batch allocates nothing.
+//
 // Streams are created on first use by cloning the shard's template
 // artifact, so the router can place new streams anywhere without a
 // control round-trip. Live migration is the fleet member handoff over
@@ -301,27 +311,54 @@ type job struct {
 	xs     [][]float64
 }
 
-// serveConn runs one connection: handshake, then the reader loop
-// feeding a bounded queue drained by one worker goroutine. Batches are
-// admitted (or shed) here; control frames (stats, migration) are
-// answered inline — the router fences migrations so no batch for the
-// moving stream is in flight anywhere when MigrateOut arrives.
+// ingest is one connection's batch path: the bounded queue its worker
+// drains, and the count of admitted batches the worker has not yet
+// answered. Only the reader increments pending (on admission), so
+// pending == 0 seen by the reader means no batch of this connection is
+// queued or being processed.
+type ingest struct {
+	c       *wire.Conn
+	jobs    chan job
+	pending atomic.Int64
+}
+
+// batchBuf is the scratch one goroutine reuses across the batches it
+// answers.
+type batchBuf struct {
+	results []edgedrift.Result
+	ack     []byte
+}
+
+// serveConn runs one connection: handshake, then the reader loop. A
+// batch runs to completion on the reader when the worker has nothing
+// unanswered and no further input is buffered; otherwise it is admitted
+// (or shed) into the bounded queue drained by one worker goroutine.
+// Control frames (stats, migration) are answered inline — the router
+// fences migrations so no batch for the moving stream is in flight
+// anywhere when MigrateOut arrives.
 func (s *Server) serveConn(c *wire.Conn) {
 	if err := c.AcceptHandshake(); err != nil {
 		return
 	}
-	jobs := make(chan job, s.cfg.QueueDepth)
+	in := &ingest{c: c, jobs: make(chan job, s.cfg.QueueDepth)}
 	var workerWg sync.WaitGroup
 	workerWg.Add(1)
 	go func() {
 		defer workerWg.Done()
-		s.worker(c, jobs)
+		s.worker(in)
 	}()
 	defer func() {
-		close(jobs)
+		close(in.jobs)
 		workerWg.Wait()
 	}()
 
+	// Reader-owned: stream names seen on this connection, and the decode
+	// buffer and scratch of the batches run inline.
+	var (
+		names wire.Names
+		xs    [][]float64
+		buf   batchBuf
+	)
 	for {
 		typ, p, err := c.ReadFrame()
 		if err != nil {
@@ -332,13 +369,21 @@ func (s *Server) serveConn(c *wire.Conn) {
 		}
 		switch typ {
 		case wire.TypeBatch:
-			b, err := wire.ParseBatch(p)
+			b, err := names.ParseBatch(p)
 			if err != nil {
 				c.WriteFrame(wire.TypeError, []byte(err.Error()))
 				return
 			}
-			j := job{stream: b.Stream, xs: b.Decode(nil)}
-			if !s.admit(c, jobs, j) {
+			if in.pending.Load() == 0 && c.Buffered() == 0 {
+				// Run to completion: nothing of this connection is ahead
+				// of the batch and nothing is waiting behind it.
+				xs = b.Decode(xs)
+				if !s.serveBatch(c, &buf, b.Stream, xs) {
+					return
+				}
+				continue
+			}
+			if !s.admit(in, job{stream: b.Stream, xs: b.Decode(nil)}) {
 				return
 			}
 		case wire.TypeMigrateOut:
@@ -380,10 +425,11 @@ func (s *Server) serveConn(c *wire.Conn) {
 
 // admit enqueues a batch under the shed policy. Returns false only on
 // a write failure (connection is dead).
-func (s *Server) admit(c *wire.Conn, jobs chan job, j job) bool {
+func (s *Server) admit(in *ingest, j job) bool {
+	in.pending.Add(1)
 	// Fast path: space available.
 	select {
-	case jobs <- j:
+	case in.jobs <- j:
 		s.queueDepth.Add(1)
 		return true
 	default:
@@ -391,7 +437,7 @@ func (s *Server) admit(c *wire.Conn, jobs chan job, j job) bool {
 	if s.cfg.ShedAfter == 0 {
 		// Pure backpressure: block the reader; TCP flow control stalls
 		// the sender until the worker catches up.
-		jobs <- j
+		in.jobs <- j
 		s.queueDepth.Add(1)
 		return true
 	}
@@ -399,47 +445,55 @@ func (s *Server) admit(c *wire.Conn, jobs chan job, j job) bool {
 		t := time.NewTimer(s.cfg.ShedAfter)
 		defer t.Stop()
 		select {
-		case jobs <- j:
+		case in.jobs <- j:
 			s.queueDepth.Add(1)
 			return true
 		case <-t.C:
 		}
 	}
 	// Shed: the batch is dropped at admission, never processed.
+	in.pending.Add(-1)
 	s.shedBatches.Inc()
 	s.shedSamples.Add(uint64(len(j.xs)))
-	return c.WriteFrame(wire.TypeShed, wire.AppendShed(nil, j.stream, len(j.xs))) == nil
+	return in.c.WriteFrame(wire.TypeShed, wire.AppendShed(nil, j.stream, len(j.xs))) == nil
 }
 
 // worker drains one connection's queue in FIFO order: per-connection
 // arrival order is the per-stream sample order, as with a local fleet.
-func (s *Server) worker(c *wire.Conn, jobs chan job) {
-	var results []edgedrift.Result
-	var ack []byte
-	for j := range jobs {
+func (s *Server) worker(in *ingest) {
+	var buf batchBuf
+	for j := range in.jobs {
 		s.queueDepth.Add(-1)
-		start := time.Now()
-		var err error
-		results, err = s.fleet.ProcessBatchInto(results[:0], j.stream, j.xs)
-		if err != nil {
-			// Unknown stream: first sight — clone the template and retry.
-			if cerr := s.ensureStream(j.stream); cerr != nil {
-				c.WriteFrame(wire.TypeError, []byte(cerr.Error()))
-				continue
-			}
-			results, err = s.fleet.ProcessBatchInto(results[:0], j.stream, j.xs)
-			if err != nil {
-				c.WriteFrame(wire.TypeError, []byte(err.Error()))
-				continue
-			}
-		}
-		s.batches.Inc()
-		s.ingestLatency.Observe(uint64(time.Since(start)))
-		ack = wire.AppendResults(ack[:0], j.stream, results)
-		if err := c.WriteFrame(wire.TypeBatchAck, ack); err != nil {
+		ok := s.serveBatch(in.c, &buf, j.stream, j.xs)
+		in.pending.Add(-1) // after the answer is written: FIFO on the wire
+		if !ok {
 			return
 		}
 	}
+}
+
+// serveBatch processes one batch through the fleet and answers it with
+// an ack (or an error frame), reusing buf. It is the one batch path of
+// both the reader's inline run and the worker. Returns false when the
+// connection is dead.
+func (s *Server) serveBatch(c *wire.Conn, buf *batchBuf, stream string, xs [][]float64) bool {
+	start := time.Now()
+	results, err := s.fleet.ProcessBatchInto(buf.results[:0], stream, xs)
+	if err != nil {
+		// Unknown stream: first sight — clone the template and retry.
+		if cerr := s.ensureStream(stream); cerr != nil {
+			return c.WriteFrame(wire.TypeError, []byte(cerr.Error())) == nil
+		}
+		results, err = s.fleet.ProcessBatchInto(buf.results[:0], stream, xs)
+		if err != nil {
+			return c.WriteFrame(wire.TypeError, []byte(err.Error())) == nil
+		}
+	}
+	buf.results = results
+	s.batches.Inc()
+	s.ingestLatency.Observe(uint64(time.Since(start)))
+	buf.ack = wire.AppendResults(buf.ack[:0], stream, results)
+	return c.WriteFrame(wire.TypeBatchAck, buf.ack) == nil
 }
 
 // migrateOut exports a member and tombstones the stream.

@@ -190,6 +190,9 @@ func TestShardShedAccounting(t *testing.T) {
 	}
 	wg.Wait()
 
+	if shedSamples == 0 {
+		t.Fatalf("a pipelined burst of %d batches into a 2-deep immediate-shed queue shed nothing", nBatches)
+	}
 	if acked+shedSamples != sent {
 		t.Fatalf("accounting broken: acked %d + shed %d != sent %d", acked, shedSamples, sent)
 	}
@@ -199,6 +202,37 @@ func TestShardShedAccounting(t *testing.T) {
 	}
 	if st.ShedSamples != uint64(shedSamples) {
 		t.Fatalf("shard shed counter %d, client saw %d", st.ShedSamples, shedSamples)
+	}
+}
+
+// TestShardInlineZeroAllocs pins the run-to-completion path: once its
+// stream exists, a batch sent to an idle connection is read, decoded,
+// processed and acked without a single allocation, client side included.
+func TestShardInlineZeroAllocs(t *testing.T) {
+	template, stream := testTemplate(t)
+	_, addr := startShard(t, Config{Template: template})
+	conn, err := wire.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload, err := wire.AppendBatch(nil, "s", stream[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func() {
+		if err := conn.WriteFrame(wire.TypeBatch, payload); err != nil {
+			t.Fatal(err)
+		}
+		if typ, p, err := conn.ReadFrame(); err != nil || typ != wire.TypeBatchAck {
+			t.Fatalf("reply %#x %q: %v", typ, p, err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		roundTrip() // create the stream, size every reused buffer
+	}
+	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
+		t.Fatalf("steady-state inline batch: %v allocations per round trip, want 0", n)
 	}
 }
 

@@ -119,10 +119,12 @@ type Conn struct {
 	c  net.Conn
 	br *bufio.Reader
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	wmu  sync.Mutex
+	bw   *bufio.Writer
+	whdr [5]byte // WriteFrame's header, under wmu
 
-	rbuf []byte // reused ReadFrame buffer; valid until the next ReadFrame
+	rhdr [4]byte // ReadFrame's length prefix
+	rbuf []byte  // reused ReadFrame buffer; valid until the next ReadFrame
 }
 
 // NewConn wraps an established net.Conn. The caller still owes the
@@ -141,6 +143,11 @@ func (c *Conn) Close() error { return c.c.Close() }
 // SetDeadline bounds the next I/O operations on the connection.
 func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
+// Buffered reports how many bytes of further input are already read
+// off the socket and waiting in the connection's buffer. Like ReadFrame
+// it belongs to the reading goroutine.
+func (c *Conn) Buffered() int { return c.br.Buffered() }
+
 // WriteFrame sends one frame (type byte plus payload) and flushes.
 func (c *Conn) WriteFrame(typ byte, payload []byte) error {
 	if len(payload)+1 > MaxFrame {
@@ -148,10 +155,9 @@ func (c *Conn) WriteFrame(typ byte, payload []byte) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(c.whdr[:4], uint32(len(payload)+1))
+	c.whdr[4] = typ
+	if _, err := c.bw.Write(c.whdr[:]); err != nil {
 		return err
 	}
 	if _, err := c.bw.Write(payload); err != nil {
@@ -164,11 +170,10 @@ func (c *Conn) WriteFrame(typ byte, payload []byte) error {
 // buffer and is valid only until the next ReadFrame call — callers that
 // hand it to another goroutine must copy it first.
 func (c *Conn) ReadFrame() (typ byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(c.rhdr[:])
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: implausible frame length %d", ErrProtocol, n)
 	}
@@ -276,18 +281,52 @@ type Batch struct {
 // router can route on the header alone and relay the bytes untouched.
 // The geometry is checked in uint64 against MaxFrame, so a header whose
 // count×dims×8 would wrap a 32-bit int is rejected, not trusted.
-func ParseBatch(p []byte) (Batch, error) {
+func ParseBatch(p []byte) (Batch, error) { return (*Names)(nil).ParseBatch(p) }
+
+// maxNames bounds a Names table: past it the table starts over, so a
+// peer cycling through fresh stream names cannot grow it without bound.
+const maxNames = 4096
+
+// Names interns the stream names read off one connection. A batch for
+// a stream the table has seen parses without allocating its name: the
+// lookup m[string(b)] does not copy. The zero value is ready to use; a
+// nil *Names interns nothing. Not safe for concurrent use.
+type Names struct{ m map[string]string }
+
+// intern returns b as a string, shared with earlier batches of the same
+// stream when the table holds it.
+func (n *Names) intern(b []byte) string {
+	if n == nil {
+		return string(b)
+	}
+	if s, ok := n.m[string(b)]; ok {
+		return s
+	}
+	if n.m == nil || len(n.m) >= maxNames {
+		n.m = make(map[string]string)
+	}
+	s := string(b)
+	n.m[s] = s
+	return s
+}
+
+// ParseBatch is the package-level ParseBatch with the stream name
+// interned in n.
+func (n *Names) ParseBatch(p []byte) (Batch, error) {
 	var b Batch
-	stream, rest, err := parseString(p)
+	name, rest, err := parseName(p)
 	if err != nil {
 		return b, err
+	}
+	if len(name) == 0 {
+		return b, fmt.Errorf("%w: empty stream name", ErrProtocol) // as AppendBatch
 	}
 	if len(rest) < 6 {
 		return b, fmt.Errorf("%w: short batch header", ErrProtocol)
 	}
 	dims := uint64(binary.LittleEndian.Uint16(rest))
 	count := uint64(binary.LittleEndian.Uint32(rest[2:]))
-	b.Stream = stream
+	b.Stream = n.intern(name)
 	b.Samples = rest[6:]
 	if dims == 0 || count == 0 {
 		return b, fmt.Errorf("%w: empty batch geometry %dx%d", ErrProtocol, count, dims)
@@ -374,12 +413,14 @@ func ParseResults(p []byte, dst []core.Result) (stream string, _ []core.Result, 
 	if len(rest) < 4 {
 		return "", dst, fmt.Errorf("%w: short results header", ErrProtocol)
 	}
-	count := int(binary.LittleEndian.Uint32(rest))
+	count := uint64(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
-	if len(rest) != count*resultBytes {
-		return "", dst, fmt.Errorf("%w: results payload %d bytes, want %d", ErrProtocol, len(rest), count*resultBytes)
+	// In uint64, so a count whose product wraps a 32-bit int cannot
+	// match a short payload.
+	if want := count * resultBytes; uint64(len(rest)) != want {
+		return "", dst, fmt.Errorf("%w: results payload %d bytes, want %d", ErrProtocol, len(rest), want)
 	}
-	for i := 0; i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		q := rest[i*resultBytes:]
 		flags := q[5]
 		dst = append(dst, core.Result{
@@ -514,9 +555,9 @@ func ParseMergeStates(p []byte) (MergeStates, error) {
 		if len(rest) < 4 {
 			return ms, fmt.Errorf("%w: merge-state payload truncated at state %d", ErrProtocol, i)
 		}
-		n := int(binary.LittleEndian.Uint32(rest))
+		n := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
-		if len(rest) < n {
+		if uint64(len(rest)) < uint64(n) { // not int: n ≥ 2^31 is negative on 32-bit
 			return ms, fmt.Errorf("%w: merge-state payload truncated at state %d", ErrProtocol, i)
 		}
 		ms.States = append(ms.States, rest[:n])
@@ -608,12 +649,18 @@ func appendString(dst []byte, s string) []byte {
 }
 
 func parseString(p []byte) (s string, rest []byte, err error) {
+	b, rest, err := parseName(p)
+	return string(b), rest, err
+}
+
+// parseName is parseString without the copy: the name aliases p.
+func parseName(p []byte) (name, rest []byte, err error) {
 	if len(p) < 2 {
-		return "", nil, fmt.Errorf("%w: short string", ErrProtocol)
+		return nil, nil, fmt.Errorf("%w: short string", ErrProtocol)
 	}
 	n := int(binary.LittleEndian.Uint16(p))
 	if len(p) < 2+n {
-		return "", nil, fmt.Errorf("%w: truncated string", ErrProtocol)
+		return nil, nil, fmt.Errorf("%w: truncated string", ErrProtocol)
 	}
-	return string(p[2 : 2+n]), p[2+n:], nil
+	return p[2 : 2+n], p[2+n:], nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
@@ -310,4 +311,93 @@ func TestMergeStatesRejects(t *testing.T) {
 	if _, err := ParseMergeStates(bad); err == nil {
 		t.Fatal("oversized state length accepted")
 	}
+}
+
+// TestResultsCountWrapRejected: a BatchAck whose count×22 wraps a
+// 32-bit int to the payload's 18 bytes must be rejected, not indexed.
+func TestResultsCountWrapRejected(t *testing.T) {
+	p := binary.LittleEndian.AppendUint32(appendString(nil, "s"), 195225787) // ×22 = 2^32 + 18
+	p = append(p, make([]byte, 18)...)
+	if _, rs, err := ParseResults(p, nil); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("wrapping result count accepted as %d results (%v)", len(rs), err)
+	}
+}
+
+// TestMergeStatesHugeLengthRejected: a state length ≥ 2^31 is negative
+// as a 32-bit int and must be rejected, not sliced.
+func TestMergeStatesHugeLengthRejected(t *testing.T) {
+	p := AppendMergeStates(nil, MergeStates{Stream: "s", States: [][]byte{{1, 2, 3}}})
+	binary.LittleEndian.PutUint32(p[len(p)-7:], 0xffffffff)
+	if _, err := ParseMergeStates(p); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("state length 2^32-1 accepted (%v)", err)
+	}
+}
+
+// FuzzParseBatch feeds arbitrary payloads through ParseBatch (plain and
+// interned) and decodes every accepted one into a dirty, reused dst —
+// the shard's inline pattern. Nothing may panic, and an accepted
+// payload must re-encode to exactly its own bytes.
+func FuzzParseBatch(f *testing.F) {
+	valid, _ := AppendBatch(nil, "sensor-7", [][]float64{{1.5, math.NaN()}, {math.Inf(-1), 0}})
+	f.Add(valid)
+	f.Add([]byte{4, 0, 'e', 'v', 'i', 'l', 1, 0, 0, 0, 0, 0x20}) // count×dims×8 wraps 32 bits
+	f.Add([]byte{0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{})
+	var names Names
+	dst := [][]float64{make([]float64, 1, 3), nil, make([]float64, 7)}
+	for _, row := range dst {
+		for j := range row[:cap(row)] {
+			row[:cap(row)][j] = math.NaN()
+		}
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		b, err := ParseBatch(p)
+		ib, ierr := names.ParseBatch(p)
+		if (err == nil) != (ierr == nil) || b.Stream != ib.Stream || b.Count != ib.Count || b.Dims != ib.Dims {
+			t.Fatalf("interned parse %+v (%v) differs from plain %+v (%v)", ib, ierr, b, err)
+		}
+		if err != nil {
+			return
+		}
+		dst = b.Decode(dst)
+		if len(dst) != b.Count {
+			t.Fatalf("decoded %d rows, want %d", len(dst), b.Count)
+		}
+		q, err := AppendBatch(nil, b.Stream, dst)
+		if err != nil {
+			t.Fatalf("accepted batch does not re-encode: %v", err)
+		}
+		if !bytes.Equal(q, p) {
+			t.Fatal("accepted batch re-encodes to different bytes")
+		}
+	})
+}
+
+// FuzzParseResults feeds arbitrary payloads through ParseResults,
+// appending after existing results. Nothing may panic, the prefix must
+// survive, and an accepted payload must re-encode to its own bytes
+// (flag bits the protocol does not define aside).
+func FuzzParseResults(f *testing.F) {
+	f.Add(AppendResults(nil, "s", []core.Result{{Label: -1, Phase: core.Monitoring, DriftDetected: true, Score: math.NaN(), Dist: 2}}))
+	f.Add(AppendResults(nil, "", nil))
+	wrap := binary.LittleEndian.AppendUint32(appendString(nil, "s"), 195225787)
+	f.Add(append(wrap, make([]byte, 18)...))
+	prefix := []core.Result{{Label: 7, Score: 1}}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		stream, rs, err := ParseResults(p, prefix[:1:1])
+		if !reflect.DeepEqual(rs[:1], prefix) {
+			t.Fatal("ParseResults clobbered dst's existing results")
+		}
+		if err != nil {
+			return
+		}
+		q := AppendResults(nil, stream, rs[1:])
+		want := append([]byte(nil), p...)
+		for i := len(want) - len(rs[1:])*resultBytes; i < len(want); i += resultBytes {
+			want[i+5] &= flagDrift | flagRejected
+		}
+		if !bytes.Equal(q, want) {
+			t.Fatal("accepted results re-encode to different bytes")
+		}
+	})
 }
