@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross test test-386 vet vet-386 fmt-check staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke check
+.PHONY: build cross test test-386 vet vet-386 fmt-check staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke deps-check check
 
 build:
 	$(GO) build ./...
@@ -45,15 +45,15 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# The packages with concurrency: parallel multi-instance scoring (model),
-# the experiment worker pool (eval), and the sharded multi-stream fleet.
-# core exercises model+eval transitively; the root package holds the
-# concurrent Fleet integration tests. wire/shard/router are the
-# distributed serve tier — the router test is the end-to-end shard
-# migration integration test, so it runs under the detector too.
+# The packages with concurrency: the worker pool (workpool) behind the
+# concurrent experiments (eval) and the sharded multi-stream fleet.
+# model and core are the state every concurrent member owns; the root
+# package holds the concurrent Fleet integration tests. wire/shard/router
+# are the distributed serve tier — the router test is the end-to-end
+# shard migration integration test, so it runs under the detector too.
 # pressure holds the governor that ticks inside the shard's loop.
 race:
-	$(GO) test -race ./internal/model/... ./internal/eval/... ./internal/core/... ./internal/fleet/... ./internal/wire/... ./internal/shard/... ./internal/router/... ./internal/pressure/... .
+	$(GO) test -race ./internal/workpool/... ./internal/model/... ./internal/eval/... ./internal/core/... ./internal/fleet/... ./internal/wire/... ./internal/shard/... ./internal/router/... ./internal/pressure/... .
 
 # Kernel and hot-path micro-benchmarks at the detector's real shapes.
 bench-kernels:
@@ -156,9 +156,21 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
 	$(GO) test -fuzz=FuzzParseBatch -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzParseResults -fuzztime=10s ./internal/wire/
+	$(GO) test -fuzz=FuzzParseControl -fuzztime=10s ./internal/wire/
+
+# The serving tier must not link the research harness: fails if the
+# shard, router or fleet packages depend on the experiment drivers,
+# dataset surrogates, baseline detectors, device model, stream
+# generators or model pool.
+SERVE_PKGS := ./internal/shard ./internal/router ./internal/fleet
+HARNESS_PKGS := internal/eval internal/datasets internal/detectors internal/device internal/stream internal/pool
+deps-check:
+	@bad=$$($(GO) list -deps $(SERVE_PKGS) | grep -E "^edgedrift/($$(echo $(HARNESS_PKGS) | tr ' ' '|'))(/|$$)"); \
+	if [ -n "$$bad" ]; then echo "serving tier links the research harness:"; echo "$$bad"; exit 1; fi
 
 # The full pre-merge gate: tier-1 plus gofmt, the 32-bit Arm
 # cross-compile, vet on amd64 and 386, the native 32-bit test run,
 # static analysis, the race detector over the concurrent packages, and
-# a fuzz smoke over the artifact loaders and the wire parsers.
-check: build fmt-check cross vet vet-386 staticcheck test test-386 race fuzz-smoke
+# a fuzz smoke over the artifact loaders and the wire parsers, and the
+# serving tier's dependency gate.
+check: build fmt-check cross vet vet-386 staticcheck deps-check test test-386 race fuzz-smoke

@@ -6,13 +6,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
 	"edgedrift"
 	"edgedrift/internal/datasets/nslkdd"
-	"edgedrift/internal/eval"
+	"edgedrift/internal/workpool"
 )
 
 // runFleet is the `driftbench fleet` subcommand: it replays the NSL-KDD
@@ -104,7 +103,7 @@ func runFleet(args []string) int {
 	}
 
 	durs := make([]time.Duration, *streams)
-	pool := eval.NewPool(*parallel)
+	pool := workpool.New(*parallel)
 	wall := time.Now()
 	for i := range ids {
 		i := i
@@ -163,7 +162,7 @@ func runFleet(args []string) int {
 	h := f.Health()
 
 	fmt.Printf("fleet: %d streams over %d shards, %d worker(s), %d-sample batches, %s members\n",
-		*streams, *shards, poolWorkers(*parallel), *batch, prec)
+		*streams, *shards, pool.Workers(), *batch, prec)
 	fmt.Printf("replayed %d NSL-KDD samples (%d per stream, drift at sample %d of the interleaved stream)\n",
 		len(ds.TestX), len(parts[0]), ds.DriftAt)
 	fmt.Printf("aggregate throughput: %.0f samples/s (wall %.3fs)\n",
@@ -179,7 +178,7 @@ func runFleet(args []string) int {
 
 	if *jsonPath != "" {
 		sum := fleetSummary{
-			Streams: *streams, Shards: *shards, Workers: poolWorkers(*parallel), Batch: *batch,
+			Streams: *streams, Shards: *shards, Workers: pool.Workers(), Batch: *batch,
 			Precision: prec.String(),
 			Samples:   len(ds.TestX),
 			WallSecs:  elapsed.Seconds(),
@@ -229,12 +228,4 @@ func writeFleetJSON(path string, sum fleetSummary) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// poolWorkers mirrors eval.NewPool's worker defaulting for display.
-func poolWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }

@@ -29,10 +29,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
+	"strings"
 	"time"
 
 	"edgedrift"
 	"edgedrift/internal/eval"
+	"edgedrift/internal/workpool"
 )
 
 // main delegates to run so that deferred cleanup — stopping the CPU
@@ -41,34 +44,39 @@ import (
 // silently truncate the profiles exactly when an experiment fails, the
 // case most worth profiling.
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "fleet" {
-		os.Exit(runFleet(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		os.Exit(runServe(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "precision" {
-		os.Exit(runPrecision(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "shard" {
-		os.Exit(runShard(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "route" {
-		os.Exit(runRoute(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		os.Exit(runLoadgen(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "coop" {
-		os.Exit(runCoop(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scenarios" {
-		os.Exit(runScenarios(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "pressure" {
-		os.Exit(runPressure(os.Args[2:]))
+	if len(os.Args) > 1 {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			os.Exit(sub(os.Args[2:]))
+		}
 	}
 	os.Exit(run())
+}
+
+// subcommands maps each `driftbench NAME ...` to its entry point; with
+// no subcommand, driftbench regenerates the paper tables.
+var subcommands = map[string]func(args []string) int{
+	"fleet":     runFleet,
+	"serve":     runServe,
+	"precision": runPrecision,
+	"shard":     runShard,
+	"route":     runRoute,
+	"loadgen":   runLoadgen,
+	"coop":      runCoop,
+	"scenarios": runScenarios,
+	"pressure":  runPressure,
+}
+
+// usage prints the table flags and names the subcommands, which are
+// recognised only as the first argument.
+func usage() {
+	names := make([]string, 0, len(subcommands))
+	for name := range subcommands {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := flag.CommandLine.Output()
+	fmt.Fprintf(out, "usage: driftbench [flags]\n       driftbench SUBCOMMAND [flags]\n\nsubcommands: %s\n\nflags:\n", strings.Join(names, ", "))
+	flag.PrintDefaults()
 }
 
 func run() int {
@@ -80,7 +88,13 @@ func run() int {
 	parallel := flag.Int("parallel", 1, "experiments evaluated concurrently (1 keeps host wall-clock columns contention-free; 0 means GOMAXPROCS)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
+	flag.Usage = usage
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "driftbench: unexpected argument %q; a subcommand must come first\n", flag.Arg(0))
+		usage()
+		return 2
+	}
 
 	if *list {
 		for _, e := range eval.Registry() {
@@ -194,7 +208,7 @@ func runAll(todo []eval.Experiment, seed uint64, parallel int, csvDir string) er
 		elapsed time.Duration
 	}
 	results := make([]timed, len(todo))
-	pool := eval.NewPool(parallel)
+	pool := workpool.New(parallel)
 	for i, e := range todo {
 		i, e := i, e
 		pool.Go(func() error {

@@ -235,36 +235,6 @@ func (f *Fleet) MemberPrecision(id string) (degraded bool, active Precision, cap
 	return f.f.MemberPrecision(id)
 }
 
-// asMonitor recovers the Monitor inside a member stage, seeing through
-// the Instrumented wrapper an instrumented fleet adds at registration.
-func asMonitor(s core.Streaming) (*Monitor, bool) {
-	for {
-		if mon, ok := s.(*Monitor); ok {
-			return mon, true
-		}
-		in, ok := s.(*core.Instrumented)
-		if !ok {
-			return nil, false
-		}
-		s = in.Inner()
-	}
-}
-
-// asFixedStream recovers the Q16.16 stage inside a member, seeing
-// through the Instrumented wrapper like asMonitor.
-func asFixedStream(s core.Streaming) (*fixed.Stream, bool) {
-	for {
-		if fs, ok := s.(*fixed.Stream); ok {
-			return fs, true
-		}
-		in, ok := s.(*core.Instrumented)
-		if !ok {
-			return nil, false
-		}
-		s = in.Inner()
-	}
-}
-
 // Member-kind bytes recorded per member in the FLEET4 container and in
 // ExportMember payloads: the discriminator that lets mixed-precision
 // fleets round-trip (satellite of the distributed tier — a shard must
@@ -286,13 +256,13 @@ const (
 // applies to float Monitors only (the Q16.16 wire format is exact).
 func encodeMember(prec Precision) fleet.EncodeFunc {
 	return func(id string, s core.Streaming, w io.Writer) (byte, error) {
-		if mon, ok := asMonitor(s); ok {
+		if mon, ok := core.Find[*Monitor](s); ok {
 			if mon.degraded != nil {
 				return memberKindDegraded, encodeDegraded(mon, w)
 			}
 			return memberKindMonitor, mon.Save(w, prec)
 		}
-		if fs, ok := asFixedStream(s); ok {
+		if fs, ok := core.Find[*fixed.Stream](s); ok {
 			return memberKindQ16, fs.Save(w)
 		}
 		return 0, fmt.Errorf("edgedrift: fleet member %q has no wire format (not a Monitor or Q16.16 stage)", id)
@@ -365,7 +335,7 @@ func decodeMember(id string, kind byte, r io.Reader) (core.Streaming, error) {
 // safe way to inspect a single stream while the fleet keeps processing.
 func (f *Fleet) Do(id string, fn func(*Monitor) error) error {
 	return f.f.Do(id, func(s core.Streaming) error {
-		mon, ok := asMonitor(s)
+		mon, ok := core.Find[*Monitor](s)
 		if !ok {
 			return fmt.Errorf("edgedrift: fleet member %q is not a Monitor", id)
 		}
@@ -389,11 +359,11 @@ func (f *Fleet) SaveFile(path string, prec Precision) error {
 	return f.f.SaveFile(path, encodeMember(prec))
 }
 
-// LoadFleet deserialises a fleet written by Save (FLEET4, or any of the
-// legacy FLEET1–FLEET3 artifacts). Every member — including demoted
-// members, which resume at their reduced precision with the origin
-// retained — is immediately ready to Process. Corruption — container or
-// member level — fails with an error matching ErrBadFormat.
+// LoadFleet deserialises a fleet written by Save. Every member —
+// including demoted members, which resume at their reduced precision
+// with the origin retained — is immediately ready to Process.
+// Corruption — container or member level — fails with an error matching
+// ErrBadFormat.
 func LoadFleet(r io.Reader, cfg FleetConfig) (*Fleet, error) {
 	fl := NewFleet(cfg)
 	if err := fl.f.Load(r, decodeMember); err != nil {
@@ -438,7 +408,7 @@ type MemberState struct {
 func (f *Fleet) ExportMember(id string) (*MemberState, error) {
 	prec := Float64
 	if err := f.f.Do(id, func(s core.Streaming) error {
-		if mon, ok := asMonitor(s); ok {
+		if mon, ok := core.Find[*Monitor](s); ok {
 			prec = mon.opts.Precision
 		}
 		return nil

@@ -146,7 +146,7 @@ func TestFleetSaveLoad(t *testing.T) {
 	// The tail crosses the true drift (sample 1000) and the full NRecon
 	// reconstruction, so the round trip must preserve everything that
 	// decides post-reconstruction behaviour — including the calibrated
-	// θ_error pin, which the v2 detector format lost.
+	// θ_error pin.
 	head, tail := fx.stream[:500], fx.stream[500:2500]
 	for _, id := range f.IDs() {
 		if _, err := f.ProcessBatch(id, head); err != nil {
@@ -189,6 +189,50 @@ func TestFleetSaveLoad(t *testing.T) {
 	}
 	if _, err := edgedrift.LoadFleet(bytes.NewReader(art[:len(art)-3]), edgedrift.FleetConfig{}); !errors.Is(err, edgedrift.ErrBadFormat) {
 		t.Fatal("truncated artifact loaded without error")
+	}
+}
+
+// wrapStage is a pass-through stage exposing the Inner seam, standing
+// in for any wrapper a caller registers around a Monitor.
+type wrapStage struct{ edgedrift.Streaming }
+
+func (w wrapStage) Inner() edgedrift.Streaming { return w.Streaming }
+
+// TestFleetSaveSeesThroughWrapper pins what Save does with an AddStage
+// member wrapping a Monitor: the Monitor is found through the Inner
+// seam and checkpointed on its own, so the reloaded member is the bare
+// Monitor — the wrapper is not persisted — and it continues
+// bit-identically.
+func TestFleetSaveSeesThroughWrapper(t *testing.T) {
+	fx := newFleetFixture(t)
+	f := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	if err := f.AddStage("w", wrapStage{fx.monitor(t, 17)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ProcessBatch("w", fx.stream[:500]); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.Save(&buf, edgedrift.Float64); err != nil {
+		t.Fatalf("Save of a wrapped Monitor: %v", err)
+	}
+	g, err := edgedrift.LoadFleet(bytes.NewReader(buf.Bytes()), edgedrift.FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Do("w", func(*edgedrift.Monitor) error { return nil }); err != nil {
+		t.Fatalf("reloaded member is not a Monitor: %v", err)
+	}
+	want, err := f.ProcessBatch("w", fx.stream[500:1500])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.ProcessBatch("w", fx.stream[500:1500])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("reloaded member diverged from the wrapped original")
 	}
 }
 

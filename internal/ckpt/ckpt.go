@@ -1,7 +1,7 @@
 // Package ckpt provides the checksum plumbing shared by every versioned
 // checkpoint format in the repository (oselm, model, core, and the
-// top-level monitor artifacts). A v2 artifact is its v1 payload followed
-// by a 4-byte little-endian CRC32 (IEEE) footer covering every byte from
+// top-level monitor artifacts). An artifact is its payload followed by
+// a 4-byte little-endian CRC32 (IEEE) footer covering every byte from
 // the magic onward, so a truncated or bit-flipped artifact shipped to a
 // device fails loudly at load time instead of running with corrupt
 // weights.
@@ -21,7 +21,7 @@ import (
 	"io"
 )
 
-// ErrChecksum reports a v2 artifact whose CRC32 footer does not match
+// ErrChecksum reports an artifact whose CRC32 footer does not match
 // its content: the artifact was truncated, bit-flipped, or otherwise
 // corrupted between save and load.
 var ErrChecksum = errors.New("ckpt: artifact checksum mismatch")
@@ -84,7 +84,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 }
 
 // Fold hashes bytes the caller already consumed from the underlying
-// stream before wrapping it — the magic that selected the v2 path.
+// stream before wrapping it — the magic the loader checked.
 func (r *Reader) Fold(p []byte) { r.crc.Write(p) }
 
 // VerifyFooter reads the 4-byte footer from the underlying stream

@@ -45,21 +45,3 @@ func (d *Detector) MergeSeed(states [][]byte) error {
 }
 
 var _ Merger = (*Detector)(nil)
-
-// AsMerger discovers the Merger capability anywhere in a wrapped stage
-// chain, seeing through Guard/Instrumented seams the way NewInstrumented
-// discovers thresholds. It returns false for stages that genuinely
-// cannot merge (the Q16.16 detect-only port, baseline detectors).
-func AsMerger(s Streaming) (Merger, bool) {
-	for s != nil {
-		if m, ok := s.(Merger); ok {
-			return m, true
-		}
-		w, ok := s.(innerer)
-		if !ok {
-			return nil, false
-		}
-		s = w.Inner()
-	}
-	return nil, false
-}

@@ -11,21 +11,14 @@ import (
 	"edgedrift/internal/model"
 )
 
-// detMagicV1..detMagicV3 identify serialised detector bundles. v2 adds
-// a CRC32 footer over the v1 payload (see internal/ckpt); v3 appends
-// the caller-pinned threshold overrides (Config.ErrorThreshold /
-// DriftThreshold) to the payload — without them a loaded detector
-// re-derived both thresholds after its next reconstruction where the
-// original held the pins, silently diverging. SaveState writes v3;
-// LoadState accepts all three.
-var (
-	detMagicV1 = [6]byte{'E', 'D', 'D', 'E', 'T', '1'}
-	detMagicV2 = [6]byte{'E', 'D', 'D', 'E', 'T', '2'}
-	detMagicV3 = [6]byte{'E', 'D', 'D', 'E', 'T', '3'}
-)
+// detMagic identifies a serialised detector bundle: the configuration
+// (the caller-pinned threshold overrides Config.ErrorThreshold /
+// DriftThreshold included), centroids, counts and thresholds, then a
+// CRC32 footer (see internal/ckpt).
+var detMagic = [6]byte{'E', 'D', 'D', 'E', 'T', '3'}
 
-// ErrBadFormat reports a stream that is not a serialised detector of a
-// known version, or a v2 artifact that is truncated or corrupt.
+// ErrBadFormat reports a stream that is not a serialised detector of the
+// current version, or one that is truncated or corrupt.
 var ErrBadFormat = errors.New("core: not a serialised detector (or unsupported version)")
 
 // Sanity bounds on deserialised shape fields, so a corrupt header fails
@@ -100,7 +93,7 @@ func (d *Detector) SaveState(w io.Writer) error {
 	}
 	cw := ckpt.NewWriter(w)
 	w = cw
-	if _, err := w.Write(detMagicV3[:]); err != nil {
+	if _, err := w.Write(detMagic[:]); err != nil {
 		return err
 	}
 	for _, v := range []uint32{
@@ -117,7 +110,7 @@ func (d *Detector) SaveState(w io.Writer) error {
 	for _, v := range []float64{
 		d.cfg.ZDrift, d.cfg.ZError, d.cfg.EWMAGamma,
 		d.thetaError, d.thetaDrift, d.dist,
-		// v3: the pinned-threshold overrides. finishReconstruction only
+		// The pinned-threshold overrides. finishReconstruction only
 		// re-derives a threshold whose cfg pin is zero, so these decide
 		// post-reconstruction behaviour and must survive a round trip.
 		d.cfg.ErrorThreshold, d.cfg.DriftThreshold,
@@ -229,37 +222,32 @@ func (d *Detector) RestoreState(r io.Reader) error {
 	return nil
 }
 
-// LoadState deserialises detector state written by SaveState — the
-// current checksummed v3 format or the legacy v1/v2 formats — and binds
+// LoadState deserialises detector state written by SaveState and binds
 // it to the given model, which must match the saved class count and
-// dimension. In the checksummed paths every failure wraps ErrBadFormat
-// so callers can classify corruption with errors.Is.
+// dimension. Every failure wraps ErrBadFormat so callers can classify
+// corruption with errors.Is.
 func LoadState(r io.Reader, m *model.Multi) (*Detector, error) {
 	var got [6]byte
 	if _, err := io.ReadFull(r, got[:]); err != nil {
 		return nil, badFormat(fmt.Errorf("load header: %w", err))
 	}
-	switch got {
-	case detMagicV1:
-		return loadStateBody(r, m, false)
-	case detMagicV2, detMagicV3:
-		cr := ckpt.NewReader(r)
-		cr.Fold(got[:])
-		d, err := loadStateBody(cr, m, got == detMagicV3)
-		if err != nil {
-			return nil, badFormat(err)
-		}
-		if err := cr.VerifyFooter(); err != nil {
-			return nil, badFormat(err)
-		}
-		return d, nil
-	default:
+	if got != detMagic {
 		return nil, ErrBadFormat
 	}
+	cr := ckpt.NewReader(r)
+	cr.Fold(got[:])
+	d, err := loadStateBody(cr, m)
+	if err != nil {
+		return nil, badFormat(err)
+	}
+	if err := cr.VerifyFooter(); err != nil {
+		return nil, badFormat(err)
+	}
+	return d, nil
 }
 
-// badFormat wraps a checksummed-format load failure so it matches both
-// ErrBadFormat and the underlying cause.
+// badFormat wraps a load failure so it matches both ErrBadFormat and the
+// underlying cause.
 func badFormat(err error) error {
 	if errors.Is(err, ErrBadFormat) {
 		return err
@@ -267,11 +255,8 @@ func badFormat(err error) error {
 	return fmt.Errorf("core: corrupt artifact: %w: %w", ErrBadFormat, err)
 }
 
-// loadStateBody parses the payload that follows the magic. hasPins is
-// true for v3, whose float block carries the two pinned-threshold
-// overrides; v1/v2 artifacts predate the pins and load with both zero
-// (their historical behaviour: re-derive after reconstruction).
-func loadStateBody(r io.Reader, m *model.Multi, hasPins bool) (*Detector, error) {
+// loadStateBody parses the payload that follows the magic.
+func loadStateBody(r io.Reader, m *model.Multi) (*Detector, error) {
 	var u [13]uint32
 	for i := range u {
 		v, err := getU32(r)
@@ -280,10 +265,7 @@ func loadStateBody(r io.Reader, m *model.Multi, hasPins bool) (*Detector, error)
 		}
 		u[i] = v
 	}
-	f := make([]float64, 6, 8)
-	if hasPins {
-		f = f[:8]
-	}
+	var f [8]float64
 	for i := range f {
 		v, err := getF64(r)
 		if err != nil {
@@ -315,10 +297,9 @@ func loadStateBody(r io.Reader, m *model.Multi, hasPins bool) (*Detector, error)
 		ZDrift:            f[0],
 		ZError:            f[1],
 		EWMAGamma:         f[2],
+		ErrorThreshold:    f[6],
+		DriftThreshold:    f[7],
 		Precision:         m.Precision(),
-	}
-	if hasPins {
-		cfg.ErrorThreshold, cfg.DriftThreshold = f[6], f[7]
 	}
 	d, err := New(m, cfg)
 	if err != nil {

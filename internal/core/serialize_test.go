@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"edgedrift/internal/model"
@@ -98,5 +99,14 @@ func TestLoadStateRejectsGarbage(t *testing.T) {
 	m, _ := model.New(model.Config{Classes: 2, Inputs: testDims, Hidden: 4}, rng.New(66))
 	if _, err := LoadState(bytes.NewReader([]byte("junkjunkjunk")), m); err == nil {
 		t.Fatal("expected format error")
+	}
+	// The legacy EDDET1/EDDET2 layouts no longer load.
+	full, sm := savedState(t)
+	for _, ver := range []byte("12") {
+		legacy := append([]byte(nil), full...)
+		legacy[5] = ver
+		if _, err := LoadState(bytes.NewReader(legacy), sm); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("EDDET%c artifact: err = %v, want ErrBadFormat", ver, err)
+		}
 	}
 }

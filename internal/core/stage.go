@@ -52,6 +52,33 @@ type phaser interface {
 	PhaseNow() Phase
 }
 
+// innerer is the seam through which capability discovery sees past a
+// wrapping stage (Guard, Instrumented, Hybrid, a pooled stage) to the
+// stage it wraps.
+type innerer interface {
+	Inner() Streaming
+}
+
+// Find walks a wrapped stage chain through the Inner seam, outermost
+// first, and returns the first stage that implements T: a capability
+// interface such as Merger or Transitioner, or a concrete stage type.
+// It reports false when no stage in the chain does — for instance a
+// Merger behind the Q16.16 detect-only port or a baseline detector.
+func Find[T any](s Streaming) (T, bool) {
+	for s != nil {
+		if t, ok := s.(T); ok {
+			return t, true
+		}
+		w, ok := s.(innerer)
+		if !ok {
+			break
+		}
+		s = w.Inner()
+	}
+	var zero T
+	return zero, false
+}
+
 // Guard is the ingestion-guard stage: it applies a GuardPolicy to every
 // sample before the wrapped stage can see it, so a non-finite feature —
 // a flaky sensor over a months-long deployment — never reaches model or

@@ -129,23 +129,31 @@ func (f *fakeTrans) ActivePrecision() oselm.Precision {
 }
 func (f *fakeTrans) Degraded() bool { return f.demoted }
 
-// TestAsTransitionerSeesThroughSeams pins capability discovery through
-// the Instrumented wrapper, exactly like AsMerger.
+// TestAsTransitionerSeesThroughSeams pins capability discovery with
+// Find through the Instrumented wrapper, and Find's outermost-first
+// match order.
 func TestAsTransitionerSeesThroughSeams(t *testing.T) {
 	ft := &fakeTrans{}
 	wrapped := NewInstrumented(ft, InstrumentConfig{StreamID: "t7"})
-	tr, ok := AsTransitioner(wrapped)
+	tr, ok := Find[Transitioner](wrapped)
 	if !ok {
-		t.Fatal("AsTransitioner failed through Instrumented")
+		t.Fatal("Find[Transitioner] failed through Instrumented")
 	}
 	if err := tr.Demote(oselm.Float32); err != nil || !ft.demoted {
 		t.Fatal("capability did not reach the inner stage")
 	}
-	if _, ok := AsTransitioner(nil); ok {
-		t.Fatal("AsTransitioner(nil) succeeded")
+	if _, ok := Find[Transitioner](nil); ok {
+		t.Fatal("Find[Transitioner](nil) succeeded")
 	}
 	d, _ := newCalibrated(t, 94, DefaultConfig(10))
-	if _, ok := AsTransitioner(machine{d}); ok {
+	if _, ok := Find[Transitioner](machine{d}); ok {
 		t.Fatal("bare detector machine claims the Transitioner capability")
+	}
+	outer := NewInstrumented(wrapped, InstrumentConfig{StreamID: "outer"})
+	if got, ok := Find[*Instrumented](outer); !ok || got != outer {
+		t.Fatal("Find did not return the outermost match")
+	}
+	if got, ok := Find[*fakeTrans](outer); !ok || got != ft {
+		t.Fatal("Find did not reach the innermost stage")
 	}
 }

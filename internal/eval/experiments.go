@@ -15,6 +15,7 @@ import (
 	"edgedrift/internal/oselm"
 	"edgedrift/internal/rng"
 	"edgedrift/internal/stats"
+	"edgedrift/internal/workpool"
 )
 
 // Figure is a reproduced figure: named series over a shared x axis.
@@ -435,7 +436,7 @@ func Table3(seed uint64) *Outcome {
 	streams := []*coolingfan.Stream{gen.TestSudden(), gen.TestGradual(), gen.TestReoccurring()}
 	windows := []int{10, 50, 150}
 	cells := make([][]string, len(windows))
-	pool := NewPool(0)
+	pool := workpool.New(0)
 	for wi, w := range windows {
 		cells[wi] = make([]string, len(streams))
 		for si, st := range streams {

@@ -11,6 +11,7 @@ import (
 	"edgedrift/internal/opcount"
 	"edgedrift/internal/rng"
 	"edgedrift/internal/stats"
+	"edgedrift/internal/workpool"
 )
 
 // MethodRun is one deferred, independent method evaluation: a named
@@ -26,7 +27,7 @@ type MethodRun struct {
 // set with its error, wrapped with the run's name.
 func RunSet(runs ...MethodRun) ([]*RunResult, error) {
 	out := make([]*RunResult, len(runs))
-	p := NewPool(0)
+	p := workpool.New(0)
 	for i, mr := range runs {
 		i, mr := i, mr
 		p.Go(func() error {

@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"edgedrift/internal/core"
@@ -168,5 +171,30 @@ func TestUnlabelledStreams(t *testing.T) {
 	res := RunStatic(m, sc.streamX, nil, RunConfig{DriftAt: sc.driftAt})
 	if res.Accuracy != 0 || len(res.Trace.Y) != 0 {
 		t.Fatal("unlabelled run must not fabricate accuracy")
+	}
+}
+
+func TestRunSetOrderAndErrors(t *testing.T) {
+	runs := make([]MethodRun, 6)
+	for i := range runs {
+		i := i
+		runs[i] = MethodRun{
+			Name: fmt.Sprintf("m%d", i),
+			Run:  func() (*RunResult, error) { return &RunResult{Name: fmt.Sprintf("m%d", i)}, nil },
+		}
+	}
+	out, err := RunSet(runs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out {
+		if want := fmt.Sprintf("m%d", i); res.Name != want {
+			t.Fatalf("slot %d holds %q, want %q", i, res.Name, want)
+		}
+	}
+
+	runs[3].Run = func() (*RunResult, error) { return nil, errors.New("bad detector") }
+	if _, err := RunSet(runs...); err == nil || !strings.Contains(err.Error(), "m3") {
+		t.Fatalf("RunSet error = %v, want wrapped with run name m3", err)
 	}
 }

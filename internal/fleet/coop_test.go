@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"edgedrift/internal/ckpt"
 	"edgedrift/internal/core"
 	"edgedrift/internal/oselm"
 )
@@ -18,7 +17,7 @@ import (
 // mergeStage is a countStage that additionally carries mergeable state:
 // one uint64 "model value" whose merge semantics are summation. It
 // stands in for a full Detector so cohort bookkeeping, warm-recovery
-// policy and the FLEET3 container can be tested without training
+// policy and the fleet container can be tested without training
 // models; merge exactness itself is pinned in internal/oselm.
 type mergeStage struct {
 	countStage
@@ -419,57 +418,6 @@ func TestFleet3Corruption(t *testing.T) {
 		if err := g.Load(bytes.NewReader(bad), decMerge); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrBadFormat", pos, err)
 		}
-	}
-}
-
-// TestLoadFleet2BackwardCompat hand-assembles a FLEET2 artifact (kind
-// byte, no cohort fields) and checks it still loads with the empty
-// cohort.
-func TestLoadFleet2BackwardCompat(t *testing.T) {
-	var mbuf bytes.Buffer
-	inner := ckpt.NewWriter(&mbuf)
-	if err := binary.Write(inner, binary.LittleEndian, []uint64{5, 99}); err != nil {
-		t.Fatal(err)
-	}
-	if err := inner.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	if _, err := cw.Write([]byte("FLEET2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU32(cw, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU32(cw, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(cw, "s"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cw.Write([]byte{mergeKind}); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU64(cw, uint64(mbuf.Len())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cw.Write(mbuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-
-	g := New(Config{})
-	if err := g.Load(bytes.NewReader(buf.Bytes()), decMerge); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := g.Cohort("s"); err != nil || got != "" {
-		t.Fatalf("Cohort = %q, %v; want empty", got, err)
-	}
-	if fp, _ := g.MemberFingerprint("s"); fp != 99 {
-		t.Fatalf("fingerprint = %d, want 99", fp)
 	}
 }
 

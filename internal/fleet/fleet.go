@@ -24,9 +24,9 @@ import (
 	"unsafe"
 
 	"edgedrift/internal/core"
-	"edgedrift/internal/eval"
 	"edgedrift/internal/health"
 	"edgedrift/internal/oselm"
+	"edgedrift/internal/workpool"
 )
 
 // Event is one drift detection, fanned in from every member onto the
@@ -229,11 +229,11 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 	if bs, ok := mb.stage.(core.BatchStreaming); ok {
 		mb.batch = bs
 	}
-	if mg, ok := core.AsMerger(mb.stage); ok {
+	if mg, ok := core.Find[core.Merger](mb.stage); ok {
 		mb.merger = mg
 		mb.fprint = mg.MergeFingerprint()
 	}
-	if tr, ok := core.AsTransitioner(mb.stage); ok {
+	if tr, ok := core.Find[core.Transitioner](mb.stage); ok {
 		mb.trans = tr
 	}
 	if p, ok := mb.stage.(interface{ PhaseNow() core.Phase }); ok {
@@ -746,7 +746,7 @@ func (f *Fleet) ProcessAll(batches map[string][][]float64) (map[string][]core.Re
 	}
 	sort.Strings(ids)
 	results := make([][]core.Result, len(ids))
-	p := eval.NewPool(f.cfg.Workers)
+	p := workpool.New(f.cfg.Workers)
 	for i, id := range ids {
 		i, id := i, id
 		p.Go(func() error {

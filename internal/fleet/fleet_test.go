@@ -13,7 +13,6 @@ import (
 	"time"
 	"unsafe"
 
-	"edgedrift/internal/ckpt"
 	"edgedrift/internal/core"
 	"edgedrift/internal/health"
 )
@@ -321,9 +320,18 @@ func TestLoadCorruption(t *testing.T) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrBadFormat", n, err)
 		}
 	}
+	// The legacy FLEET1–3 containers no longer load.
+	for _, ver := range []byte("123") {
+		bad := append([]byte(nil), art...)
+		bad[5] = ver
+		g := New(Config{})
+		if err := g.Load(bytes.NewReader(bad), decCount); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("FLEET%c container: err = %v, want ErrBadFormat", ver, err)
+		}
+	}
 }
 
-// TestMemberKindRoundTrip pins the FLEET2 member-kind byte: each
+// TestMemberKindRoundTrip pins the member-kind byte: each
 // member's kind survives save/load independently, and the decoder is
 // handed exactly the kind its encoder recorded.
 func TestMemberKindRoundTrip(t *testing.T) {
@@ -367,57 +375,6 @@ func TestMemberKindRoundTrip(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestLoadFleet1BackwardCompat hand-assembles a FLEET1 artifact (no
-// kind byte) and checks it still loads, with every member decoding as
-// the implicit kind 0.
-func TestLoadFleet1BackwardCompat(t *testing.T) {
-	var mbuf bytes.Buffer
-	inner := ckpt.NewWriter(&mbuf)
-	if err := binary.Write(inner, binary.LittleEndian, []uint32{5, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := inner.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	if _, err := cw.Write([]byte("FLEET1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU32(cw, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU32(cw, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(cw, "s"); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU64(cw, uint64(mbuf.Len())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cw.Write(mbuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-
-	g := New(Config{})
-	if err := g.Load(bytes.NewReader(buf.Bytes()), decCount); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Do("s", func(s core.Streaming) error {
-		c := s.(*countStage)
-		if c.samples != 5 || c.driftEvery != 3 {
-			t.Errorf("FLEET1 member decoded as %+v", c)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

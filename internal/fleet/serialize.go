@@ -13,45 +13,24 @@ import (
 	"edgedrift/internal/core"
 )
 
-// fleetMagicV1 identifies the original fleet container (FLEET1): the
-// magic, a member count, then each member as (ID, length-prefixed
-// payload) in sorted-ID order. Every member payload is written through
-// its own nested ckpt.Writer and carries its own CRC32 footer, and the
-// whole container — member footers included — is covered by one outer
-// footer. A flipped bit therefore fails twice: once at the damaged
-// member, once at the container level, and the member ID in the error
-// says which stream's state is unusable. FLEET1 is load-only now; every
-// member decodes with the implicit kind 0.
-var fleetMagicV1 = [6]byte{'F', 'L', 'E', 'E', 'T', '1'}
+// fleetMagic identifies a fleet container: the magic, a member count,
+// then each member in sorted-ID order as its ID, a one-byte member kind
+// (discriminating member encodings so mixed-precision and degraded
+// fleets round-trip), a length-prefixed cohort name, the member's u64
+// merge fingerprint at save time, and a length-prefixed payload. Every
+// member payload is written through its own nested ckpt.Writer and
+// carries its own CRC32 footer, and the whole container — member
+// footers included — is covered by one outer footer. A flipped bit
+// therefore fails twice: once at the damaged member, once at the
+// container level, and the member ID in the error says which stream's
+// state is unusable. The fingerprint is informational — a loader
+// re-derives the live value from the decoded stage, which is what the
+// cohort index uses — but it lets offline tooling group compatible
+// members without decoding payloads.
+var fleetMagic = [6]byte{'F', 'L', 'E', 'E', 'T', '4'}
 
-// fleetMagicV2 is FLEET1 plus a one-byte member kind between each ID
-// and its payload length, discriminating member encodings (a float
-// Monitor artifact vs. a Q16.16 stage artifact) so mixed-precision
-// fleets round-trip.
-var fleetMagicV2 = [6]byte{'F', 'L', 'E', 'E', 'T', '2'}
-
-// fleetMagicV3 is FLEET2 plus the cooperative-learning fields between
-// each member's kind byte and its payload length: a length-prefixed
-// cohort name and the member's u64 merge fingerprint at save time. The
-// fingerprint is informational — a loader re-derives the live value
-// from the decoded stage, which is what the cohort index uses — but it
-// lets offline tooling group compatible members without decoding
-// payloads. Save always writes FLEET3; Load accepts all three versions
-// (FLEET1/2 members decode with the empty cohort).
-var fleetMagicV3 = [6]byte{'F', 'L', 'E', 'E', 'T', '3'}
-
-// fleetMagicV4 keeps FLEET3's container layout unchanged and adds the
-// degraded member kind (the public wrapper's kind 2): a member that was
-// demoted at save time carries its retained full-precision origin AND
-// its reduced-precision twin in one payload, so a degraded fleet
-// round-trips into a degraded fleet that still promotes bit-exactly.
-// The magic is bumped anyway — a FLEET3-era loader would otherwise fail
-// on the unknown kind byte deep inside a member instead of cleanly at
-// the header. Save always writes FLEET4; Load accepts all four.
-var fleetMagicV4 = [6]byte{'F', 'L', 'E', 'E', 'T', '4'}
-
-// ErrBadFormat reports a stream that is not a serialised fleet of a
-// known version, or one that is truncated or corrupt.
+// ErrBadFormat reports a stream that is not a serialised fleet of the
+// current version, or one that is truncated or corrupt.
 var ErrBadFormat = errors.New("fleet: not a serialised fleet (or corrupt artifact)")
 
 // ErrExportCollision reports a failed ExportMember whose rollback found
@@ -76,7 +55,7 @@ const (
 type EncodeFunc func(id string, s core.Streaming, w io.Writer) (kind byte, err error)
 
 // DecodeFunc reconstructs one member's stage from its payload, given
-// the kind byte its encoder recorded (always 0 for FLEET1 artifacts).
+// the kind byte its encoder recorded.
 // The reader is exactly the member's payload; reading past it fails.
 type DecodeFunc func(id string, kind byte, r io.Reader) (core.Streaming, error)
 
@@ -89,7 +68,7 @@ type DecodeFunc func(id string, kind byte, r io.Reader) (core.Streaming, error)
 func (f *Fleet) Save(w io.Writer, enc EncodeFunc) error {
 	ids := f.IDs()
 	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(fleetMagicV4[:]); err != nil {
+	if _, err := cw.Write(fleetMagic[:]); err != nil {
 		return err
 	}
 	if err := putU32(cw, uint32(len(ids))); err != nil {
@@ -156,9 +135,7 @@ func (f *Fleet) Load(r io.Reader, dec DecodeFunc) error {
 	if _, err := io.ReadFull(r, got[:]); err != nil {
 		return badFormat(fmt.Errorf("load header: %w", err))
 	}
-	hasCohort := got == fleetMagicV3 || got == fleetMagicV4
-	hasKind := got == fleetMagicV2 || hasCohort
-	if got != fleetMagicV1 && !hasKind {
+	if got != fleetMagic {
 		return ErrBadFormat
 	}
 	cr := ckpt.NewReader(r)
@@ -183,36 +160,27 @@ func (f *Fleet) Load(r io.Reader, dec DecodeFunc) error {
 			return badFormat(err)
 		}
 		id := string(idBytes)
-		var kind byte
-		if hasKind {
-			var kb [1]byte
-			if _, err := io.ReadFull(cr, kb[:]); err != nil {
-				return badFormat(fmt.Errorf("member %q: %w", id, err))
-			}
-			kind = kb[0]
+		var kind [1]byte
+		if _, err := io.ReadFull(cr, kind[:]); err != nil {
+			return badFormat(fmt.Errorf("member %q: %w", id, err))
 		}
-		var cohort string
-		if hasCohort {
-			clen, err := getU32(cr)
-			if err != nil {
-				return badFormat(fmt.Errorf("member %q: %w", id, err))
-			}
-			if clen > maxLoadIDLen {
-				return badFormat(fmt.Errorf("member %q: implausible cohort length %d", id, clen))
-			}
-			if clen > 0 {
-				cb := make([]byte, clen)
-				if _, err := io.ReadFull(cr, cb); err != nil {
-					return badFormat(fmt.Errorf("member %q: %w", id, err))
-				}
-				cohort = string(cb)
-			}
-			// The saved fingerprint is folded into the checksum but the
-			// live value is re-derived from the decoded stage: the stage's
-			// own bits are authoritative, not a label alongside them.
-			if _, err := getU64(cr); err != nil {
-				return badFormat(fmt.Errorf("member %q: %w", id, err))
-			}
+		clen, err := getU32(cr)
+		if err != nil {
+			return badFormat(fmt.Errorf("member %q: %w", id, err))
+		}
+		if clen > maxLoadIDLen {
+			return badFormat(fmt.Errorf("member %q: implausible cohort length %d", id, clen))
+		}
+		cb := make([]byte, clen)
+		if _, err := io.ReadFull(cr, cb); err != nil {
+			return badFormat(fmt.Errorf("member %q: %w", id, err))
+		}
+		cohort := string(cb)
+		// The saved fingerprint is folded into the checksum but the live
+		// value is re-derived from the decoded stage: the stage's own bits
+		// are authoritative, not a label alongside them.
+		if _, err := getU64(cr); err != nil {
+			return badFormat(fmt.Errorf("member %q: %w", id, err))
 		}
 		plen, err := getU64(cr)
 		if err != nil {
@@ -220,7 +188,7 @@ func (f *Fleet) Load(r io.Reader, dec DecodeFunc) error {
 		}
 		lim := &io.LimitedReader{R: cr, N: int64(plen)}
 		inner := ckpt.NewReader(lim)
-		s, err := dec(id, kind, inner)
+		s, err := dec(id, kind[0], inner)
 		if err != nil {
 			return badFormat(fmt.Errorf("member %q: %w", id, err))
 		}

@@ -34,22 +34,3 @@ func TestTrainClosestZeroAllocs(t *testing.T) {
 		t.Fatalf("TrainClosest allocates %v objects per call, want 0", n)
 	}
 }
-
-// The parallel scoring path hands work to persistent goroutines over
-// pre-allocated channels; once the pool is warm, Predict must stay
-// allocation-free there too.
-func TestParallelPredictZeroAllocs(t *testing.T) {
-	m, err := New(Config{Classes: 4, Inputs: 64, Hidden: 22}, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	m.SetParallelism(2)
-	m.SetParallelThreshold(1) // force the concurrent path at this size
-	x := make([]float64, 64)
-	rng.New(3).FillUniform(x, -1, 1)
-	m.Predict(x) // warm the pool
-	if n := testing.AllocsPerRun(200, func() { m.Predict(x) }); n != 0 {
-		t.Fatalf("parallel Predict allocates %v objects per call, want 0", n)
-	}
-}

@@ -39,26 +39,6 @@ func TestMultiLoadRejectsEveryFlippedByte(t *testing.T) {
 	}
 }
 
-// TestMultiLoadV1Legacy: a v1 multi artifact is the same header and
-// instance payloads without the whole-stream footer. The embedded
-// instances carry their own version magics, so leaving them in the
-// current format inside a v1 wrapper is a legal legacy stream.
-func TestMultiLoadV1Legacy(t *testing.T) {
-	full, m := savedMulti(t)
-	v1 := append([]byte(nil), full[:len(full)-4]...)
-	if v1[5] != '2' {
-		t.Fatalf("unexpected version byte %q", v1[5])
-	}
-	v1[5] = '1'
-	got, err := Load(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 artifact failed to load: %v", err)
-	}
-	if got.Classes() != m.Classes() {
-		t.Fatalf("classes %d vs %d", got.Classes(), m.Classes())
-	}
-}
-
 func TestMultiHealthAggregates(t *testing.T) {
 	m, xs, labels := newTrained(t, 61)
 	h := m.Health()

@@ -10,18 +10,13 @@ import (
 	"edgedrift/internal/oselm"
 )
 
-// multiMagicV1 and multiMagicV2 identify serialised multi-instance
-// models. v2 wraps the v1 layout (header plus per-instance artifacts) in
-// a whole-stream CRC32 footer, covering the per-instance checksums too.
-// Save writes v2; Load accepts both.
-var (
-	multiMagicV1 = [6]byte{'M', 'U', 'L', 'T', 'I', '1'}
-	multiMagicV2 = [6]byte{'M', 'U', 'L', 'T', 'I', '2'}
-)
+// multiMagic identifies a serialised multi-instance model: a header plus
+// per-instance artifacts, then a whole-stream CRC32 footer covering the
+// per-instance checksums too.
+var multiMagic = [6]byte{'M', 'U', 'L', 'T', 'I', '2'}
 
 // ErrBadFormat reports a stream that is not a serialised multi-instance
-// model of a known version, or a v2 artifact that is truncated or
-// corrupt.
+// model of the current version, or one that is truncated or corrupt.
 var ErrBadFormat = errors.New("model: not a serialised multi-instance model (or unsupported version)")
 
 // Save serialises the model — configuration plus every instance — so a
@@ -29,7 +24,7 @@ var ErrBadFormat = errors.New("model: not a serialised multi-instance model (or 
 // the halved deployment footprint).
 func (m *Multi) Save(w io.Writer, prec oselm.Precision) (int64, error) {
 	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(multiMagicV2[:]); err != nil {
+	if _, err := cw.Write(multiMagic[:]); err != nil {
 		return cw.N(), err
 	}
 	var head [4]byte
@@ -48,34 +43,29 @@ func (m *Multi) Save(w io.Writer, prec oselm.Precision) (int64, error) {
 	return cw.N(), nil
 }
 
-// Load deserialises a model written by Save — the current checksummed v2
-// format or the legacy v1 format. In the v2 path every failure wraps
+// Load deserialises a model written by Save. Every failure wraps
 // ErrBadFormat so callers can classify corruption with errors.Is.
 func Load(r io.Reader) (*Multi, error) {
 	var got [6]byte
 	if _, err := io.ReadFull(r, got[:]); err != nil {
 		return nil, badFormat(fmt.Errorf("load header: %w", err))
 	}
-	switch got {
-	case multiMagicV1:
-		return loadBody(r)
-	case multiMagicV2:
-		cr := ckpt.NewReader(r)
-		cr.Fold(got[:])
-		m, err := loadBody(cr)
-		if err != nil {
-			return nil, badFormat(err)
-		}
-		if err := cr.VerifyFooter(); err != nil {
-			return nil, badFormat(err)
-		}
-		return m, nil
-	default:
+	if got != multiMagic {
 		return nil, ErrBadFormat
 	}
+	cr := ckpt.NewReader(r)
+	cr.Fold(got[:])
+	m, err := loadBody(cr)
+	if err != nil {
+		return nil, badFormat(err)
+	}
+	if err := cr.VerifyFooter(); err != nil {
+		return nil, badFormat(err)
+	}
+	return m, nil
 }
 
-// badFormat wraps a v2 load failure so it matches both ErrBadFormat and
+// badFormat wraps a load failure so it matches both ErrBadFormat and
 // the underlying cause.
 func badFormat(err error) error {
 	if errors.Is(err, ErrBadFormat) {
@@ -84,7 +74,7 @@ func badFormat(err error) error {
 	return fmt.Errorf("model: corrupt artifact: %w: %w", ErrBadFormat, err)
 }
 
-// loadBody parses the version-independent payload that follows the magic.
+// loadBody parses the payload that follows the magic.
 func loadBody(r io.Reader) (*Multi, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -95,10 +85,8 @@ func loadBody(r io.Reader) (*Multi, error) {
 		return nil, ErrBadFormat
 	}
 	m := &Multi{
-		instances:    make([]*oselm.Autoencoder, classes),
-		scores:       make([]float64, classes),
-		parWorkers:   1,
-		parThreshold: defaultParallelThreshold,
+		instances: make([]*oselm.Autoencoder, classes),
+		scores:    make([]float64, classes),
 	}
 	for i := range m.instances {
 		ae, err := oselm.LoadAutoencoder(r)
@@ -117,9 +105,6 @@ func loadBody(r io.Reader) (*Multi, error) {
 		WeightScale: c0.WeightScale,
 		Precision:   c0.Precision,
 	}
-	// Restore the fields New derives, so SetParallelism works on a
-	// loaded model exactly as on a constructed one.
-	m.predictMACs = classes * 2 * c0.Inputs * c0.Hidden
 	for i, ae := range m.instances[1:] {
 		ci := ae.Model().Config()
 		if ci.Inputs != c0.Inputs {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"edgedrift/internal/oselm"
@@ -77,6 +78,14 @@ func TestMultiLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error on empty stream")
 	}
+	// The legacy MULTI1 layout — the same header and instances without
+	// the whole-stream footer — no longer loads.
+	full, _ := savedMulti(t)
+	v1 := append([]byte(nil), full[:len(full)-4]...)
+	v1[5] = '1'
+	if _, err := Load(bytes.NewReader(v1)); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("MULTI1 artifact: err = %v, want ErrBadFormat", err)
+	}
 }
 
 func TestMultiLoadRejectsTruncated(t *testing.T) {
@@ -92,7 +101,7 @@ func TestMultiLoadRejectsTruncated(t *testing.T) {
 }
 
 func TestMultiLoadRejectsAbsurdClassCount(t *testing.T) {
-	buf := append([]byte("MULTI1"), 0xff, 0xff, 0xff, 0x7f)
+	buf := append([]byte("MULTI2"), 0xff, 0xff, 0xff, 0x7f)
 	if _, err := Load(bytes.NewReader(buf)); err == nil {
 		t.Fatal("expected class-count rejection")
 	}

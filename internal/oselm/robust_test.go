@@ -91,38 +91,6 @@ func TestWatchdogSymmetrizeKeepsHealthyStateFinite(t *testing.T) {
 	}
 }
 
-// v1FromV3 converts a single checksummed v3 artifact into the legacy v1
-// layout: version byte '1', the compute-precision byte (offset 7, a v3
-// addition) removed, and no CRC footer. (The formats deliberately kept
-// the rest of the payload identical so the old parser still applies.)
-func v1FromV3(t *testing.T, b []byte) []byte {
-	t.Helper()
-	if len(b) < 12 {
-		t.Fatalf("artifact too short: %d bytes", len(b))
-	}
-	out := append([]byte(nil), b[:len(b)-4]...)
-	if out[5] != '3' {
-		t.Fatalf("unexpected version byte %q", out[5])
-	}
-	out[5] = '1'
-	return append(out[:7], out[8:]...)
-}
-
-func TestLoadV1LegacyArtifact(t *testing.T) {
-	m := trainedModel(t)
-	var buf bytes.Buffer
-	if _, err := m.Save(&buf, Float64); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(v1FromV3(t, buf.Bytes())))
-	if err != nil {
-		t.Fatalf("v1 artifact failed to load: %v", err)
-	}
-	if d := mat.MaxAbsDiff(got.Beta(), m.Beta()); d != 0 {
-		t.Fatalf("v1 round trip differs by %v", d)
-	}
-}
-
 func TestLoadRejectsEveryTruncation(t *testing.T) {
 	m := trainedModel(t)
 	var buf bytes.Buffer
@@ -188,7 +156,7 @@ func FuzzLoad(f *testing.F) {
 	full := buf.Bytes()
 	f.Add(full)
 	f.Add(full[:len(full)/2])
-	f.Add(v1FromV3FuzzSeed(full))
+	f.Add([]byte("OSELM1"))
 	f.Add([]byte("OSELM2"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -199,13 +167,4 @@ func FuzzLoad(f *testing.F) {
 			t.Fatal("nil model with nil error")
 		}
 	})
-}
-
-func v1FromV3FuzzSeed(b []byte) []byte {
-	if len(b) < 12 || b[5] != '3' {
-		return b
-	}
-	out := append([]byte(nil), b[:len(b)-4]...)
-	out[5] = '1'
-	return append(out[:7], out[8:]...)
 }

@@ -70,20 +70,14 @@ func ParsePrecision(s string) (Precision, error) {
 	return 0, fmt.Errorf("unknown precision %q (valid: f64, f32, q16)", s)
 }
 
-// magicV1..magicV3 identify serialised OS-ELM models. v2 appends a
-// CRC32 footer (see internal/ckpt) so corruption fails loudly at load
-// time; v3 adds a compute-precision byte after the wire-precision byte
-// so a reduced-precision model round-trips as one (v1/v2 artifacts load
-// as float64-compute, their historical behaviour). Save writes v3; Load
-// accepts all three.
-var (
-	magicV1 = [6]byte{'O', 'S', 'E', 'L', 'M', '1'}
-	magicV2 = [6]byte{'O', 'S', 'E', 'L', 'M', '2'}
-	magicV3 = [6]byte{'O', 'S', 'E', 'L', 'M', '3'}
-)
+// magic identifies a serialised OS-ELM model: the wire-precision and
+// compute-precision bytes, the configuration and the state slabs, then
+// a CRC32 footer (see internal/ckpt) so corruption fails loudly at load
+// time.
+var magic = [6]byte{'O', 'S', 'E', 'L', 'M', '3'}
 
-// ErrBadFormat reports a stream that is not a serialised model of a
-// known version, or a v2 artifact that is truncated or corrupt.
+// ErrBadFormat reports a stream that is not a serialised model of the
+// current version, or one that is truncated or corrupt.
 var ErrBadFormat = errors.New("oselm: not a serialised OS-ELM model (or unsupported version)")
 
 // Sanity bounds on deserialised dimensions: large enough for any model
@@ -163,7 +157,7 @@ func readF64(r io.Reader) (float64, error) {
 }
 
 // Save serialises the model (random projection, learned state and
-// configuration) to w in the versioned little-endian v3 format: the
+// configuration) to w in the versioned little-endian format: the
 // payload followed by a CRC32 footer. prec selects the on-wire element
 // width; the model's compute precision is carried separately so a
 // float32 model reloads as one. It returns the number of bytes written.
@@ -172,7 +166,7 @@ func (m *Model) Save(w io.Writer, prec Precision) (int64, error) {
 	if prec != Float64 && prec != Float32 {
 		return 0, fmt.Errorf("oselm: %v is not a wire precision (valid: f64, f32)", prec)
 	}
-	if _, err := cw.Write(magicV3[:]); err != nil {
+	if _, err := cw.Write(magic[:]); err != nil {
 		return cw.N(), err
 	}
 	if _, err := cw.Write([]byte{byte(prec), byte(m.cfg.Precision)}); err != nil {
@@ -219,48 +213,31 @@ func (m *Model) exportSlabs() [][]float64 {
 	return [][]float64{w, bias, beta, m.p.Data}
 }
 
-// Load deserialises a model written by Save — the current checksummed v2
-// format or the legacy v1 format. The returned model is ready to predict
-// and to continue sequential training. In the v2 path every failure
+// Load deserialises a model written by Save. The returned model is
+// ready to predict and to continue sequential training. Every failure
 // (truncation, checksum mismatch, implausible header) wraps ErrBadFormat
 // so callers can classify corruption with errors.Is.
 func Load(r io.Reader) (*Model, error) {
-	m, _, err := loadVersioned(r)
-	return m, err
-}
-
-// loadVersioned is Load plus the artifact version it found, so nesting
-// callers (LoadAutoencoder) know whether an enclosing footer follows.
-func loadVersioned(r io.Reader) (*Model, int, error) {
 	var got [6]byte
 	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, 0, badFormat(fmt.Errorf("load header: %w", err))
+		return nil, badFormat(fmt.Errorf("load header: %w", err))
 	}
-	switch got {
-	case magicV1:
-		m, err := loadBody(r, 1)
-		return m, 1, err
-	case magicV2, magicV3:
-		ver := 2
-		if got == magicV3 {
-			ver = 3
-		}
-		cr := ckpt.NewReader(r)
-		cr.Fold(got[:])
-		m, err := loadBody(cr, ver)
-		if err != nil {
-			return nil, ver, badFormat(err)
-		}
-		if err := cr.VerifyFooter(); err != nil {
-			return nil, ver, badFormat(err)
-		}
-		return m, ver, nil
-	default:
-		return nil, 0, ErrBadFormat
+	if got != magic {
+		return nil, ErrBadFormat
 	}
+	cr := ckpt.NewReader(r)
+	cr.Fold(got[:])
+	m, err := loadBody(cr)
+	if err != nil {
+		return nil, badFormat(err)
+	}
+	if err := cr.VerifyFooter(); err != nil {
+		return nil, badFormat(err)
+	}
+	return m, nil
 }
 
-// badFormat wraps a v2 load failure so it matches both ErrBadFormat and
+// badFormat wraps a load failure so it matches both ErrBadFormat and
 // the underlying cause.
 func badFormat(err error) error {
 	if errors.Is(err, ErrBadFormat) {
@@ -269,26 +246,16 @@ func badFormat(err error) error {
 	return fmt.Errorf("oselm: corrupt artifact: %w: %w", ErrBadFormat, err)
 }
 
-// loadBody parses the payload that follows the magic. ver 3 carries a
-// compute-precision byte after the wire-precision byte; v1/v2 artifacts
-// predate the precision axis and load as float64-compute models.
-func loadBody(r io.Reader, ver int) (*Model, error) {
-	var precByte [1]byte
-	if _, err := io.ReadFull(r, precByte[:]); err != nil {
+// loadBody parses the payload that follows the magic: the wire- and
+// compute-precision bytes, then the configuration and state.
+func loadBody(r io.Reader) (*Model, error) {
+	var precs [2]byte
+	if _, err := io.ReadFull(r, precs[:]); err != nil {
 		return nil, err
 	}
-	prec := Precision(precByte[0])
-	if prec != Float64 && prec != Float32 {
-		return nil, ErrBadFormat
-	}
-	compute := Float64
-	if ver >= 3 {
-		var computeByte [1]byte
-		if _, err := io.ReadFull(r, computeByte[:]); err != nil {
-			return nil, err
-		}
-		compute = Precision(computeByte[0])
-		if compute != Float64 && compute != Float32 {
+	prec, compute := Precision(precs[0]), Precision(precs[1])
+	for _, p := range [...]Precision{prec, compute} {
+		if p != Float64 && p != Float32 {
 			return nil, ErrBadFormat
 		}
 	}
@@ -393,9 +360,7 @@ func (a *Autoencoder) Save(w io.Writer, prec Precision) (int64, error) {
 	return cw.N(), nil
 }
 
-// LoadAutoencoder deserialises an autoencoder written by Save. Legacy
-// (v1) instances carry no checksums at all; the embedded model's version
-// decides whether the outer footer is expected.
+// LoadAutoencoder deserialises an autoencoder written by Save.
 func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
 	cr := ckpt.NewReader(r)
 	metric, err := readU32(cr)
@@ -405,14 +370,12 @@ func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
 	if metric > uint32(L2Norm) {
 		return nil, fmt.Errorf("%w: unknown score metric %d", ErrBadFormat, metric)
 	}
-	m, ver, err := loadVersioned(cr)
+	m, err := Load(cr)
 	if err != nil {
 		return nil, err
 	}
-	if ver >= 2 {
-		if err := cr.VerifyFooter(); err != nil {
-			return nil, badFormat(err)
-		}
+	if err := cr.VerifyFooter(); err != nil {
+		return nil, badFormat(err)
 	}
 	if m.cfg.Inputs != m.cfg.Outputs {
 		return nil, errors.New("oselm: serialised model is not an autoencoder")

@@ -2,6 +2,7 @@ package oselm
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -97,9 +98,21 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("expected error on empty stream")
 	}
 	// Valid magic, bad precision byte.
-	bad := append([]byte("OSELM1"), 99)
+	bad := append([]byte("OSELM3"), 99, 0)
 	if _, err := Load(bytes.NewReader(bad)); err != ErrBadFormat {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
+	}
+	// The legacy OSELM1/OSELM2 layouts no longer load.
+	var buf bytes.Buffer
+	if _, err := trainedModel(t).Save(&buf, Float64); err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []byte("12") {
+		legacy := append([]byte(nil), buf.Bytes()...)
+		legacy[5] = ver
+		if _, err := Load(bytes.NewReader(legacy)); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("OSELM%c artifact: err = %v, want ErrBadFormat", ver, err)
+		}
 	}
 }
 

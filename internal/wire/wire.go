@@ -545,13 +545,13 @@ func ParseMergeStates(p []byte) (MergeStates, error) {
 	}
 	ms.Stream = stream
 	ms.Fingerprint = binary.LittleEndian.Uint64(rest)
-	count := int(binary.LittleEndian.Uint32(rest[8:]))
+	count := binary.LittleEndian.Uint32(rest[8:]) // not int: ≥ 2^31 is negative on 32-bit
 	rest = rest[12:]
 	if count == 0 || count > math.MaxUint16 {
 		return ms, fmt.Errorf("%w: implausible merge-state count %d", ErrProtocol, count)
 	}
 	ms.States = make([][]byte, 0, count)
-	for i := 0; i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		if len(rest) < 4 {
 			return ms, fmt.Errorf("%w: merge-state payload truncated at state %d", ErrProtocol, i)
 		}

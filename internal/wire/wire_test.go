@@ -323,13 +323,20 @@ func TestResultsCountWrapRejected(t *testing.T) {
 	}
 }
 
-// TestMergeStatesHugeLengthRejected: a state length ≥ 2^31 is negative
-// as a 32-bit int and must be rejected, not sliced.
+// TestMergeStatesHugeLengthRejected: a state length or count ≥ 2^31 is
+// negative as a 32-bit int and must be rejected, not sliced or
+// allocated.
 func TestMergeStatesHugeLengthRejected(t *testing.T) {
 	p := AppendMergeStates(nil, MergeStates{Stream: "s", States: [][]byte{{1, 2, 3}}})
 	binary.LittleEndian.PutUint32(p[len(p)-7:], 0xffffffff)
 	if _, err := ParseMergeStates(p); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("state length 2^32-1 accepted (%v)", err)
+	}
+	// A state count of 2^32-1 went negative on 32-bit, passed the
+	// plausibility check and panicked in make.
+	binary.LittleEndian.PutUint32(p[2+1+8:], 0xffffffff)
+	if _, err := ParseMergeStates(p); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("state count 2^32-1 accepted (%v)", err)
 	}
 }
 
@@ -399,5 +406,40 @@ func FuzzParseResults(f *testing.F) {
 		if !bytes.Equal(q, want) {
 			t.Fatal("accepted results re-encode to different bytes")
 		}
+	})
+}
+
+// FuzzParseControl feeds the same bytes to every control-payload
+// parser. None may panic; a rejection must wrap ErrProtocol, and an
+// accepted payload must re-encode through its Append twin to exactly
+// the input bytes.
+func FuzzParseControl(f *testing.F) {
+	f.Add(AppendState(nil, State{Stream: "s", Kind: 2, Samples: 7, Drifts: 1, Payload: []byte("ckpt")}))
+	f.Add(AppendMergeStates(nil, MergeStates{Stream: "fan", Fingerprint: 99, States: [][]byte{{1, 2}, nil}}))
+	f.Add(AppendStats(nil, Stats{Streams: 3, Samples: 1 << 40, IngestP99Ns: 12345}))
+	f.Add(AppendShed(nil, "s", 64))
+	f.Add([]byte{1, 0, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // count 2^32-1
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		check := func(name string, err error, reencode func() []byte) {
+			t.Helper()
+			if err != nil {
+				if !errors.Is(err, ErrProtocol) {
+					t.Fatalf("%s: rejection %v does not wrap ErrProtocol", name, err)
+				}
+				return
+			}
+			if q := reencode(); !bytes.Equal(q, p) {
+				t.Fatalf("%s: accepted payload re-encodes to different bytes", name)
+			}
+		}
+		st, err := ParseState(p)
+		check("ParseState", err, func() []byte { return AppendState(nil, st) })
+		ms, err := ParseMergeStates(p)
+		check("ParseMergeStates", err, func() []byte { return AppendMergeStates(nil, ms) })
+		s, err := ParseStats(p)
+		check("ParseStats", err, func() []byte { return AppendStats(nil, s) })
+		stream, samples, err := ParseShed(p)
+		check("ParseShed", err, func() []byte { return AppendShed(nil, stream, samples) })
 	})
 }

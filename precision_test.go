@@ -156,7 +156,7 @@ func TestMixedPrecisionFleet(t *testing.T) {
 
 // TestMixedPrecisionFleetCheckpoint is the regression test for the
 // mixed-precision save bug: Fleet.Save used to error on any AddStage
-// (Q16.16) member. The FLEET2 member-kind byte must round-trip a fleet
+// (Q16.16) member. The fleet member-kind byte must round-trip a fleet
 // hosting all three backends, and every member — q16 included — must
 // continue bit-identically after the reload.
 func TestMixedPrecisionFleetCheckpoint(t *testing.T) {

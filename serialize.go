@@ -13,8 +13,8 @@ import (
 	"edgedrift/internal/rng"
 )
 
-// ErrBadFormat reports a stream that is not a serialised monitor, or a
-// checksummed (v2) artifact that is truncated or corrupt — including a
+// ErrBadFormat reports a stream that is not a serialised monitor of the
+// current version, or one that is truncated or corrupt — including a
 // single flipped byte anywhere in the stream. Classify load failures
 // with errors.Is(err, edgedrift.ErrBadFormat).
 var ErrBadFormat = errors.New("edgedrift: not a serialised monitor (or corrupt artifact)")

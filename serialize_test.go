@@ -2,6 +2,7 @@ package edgedrift
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -64,5 +65,32 @@ func TestMonitorSaveBeforeFitFails(t *testing.T) {
 func TestLoadMonitorRejectsGarbage(t *testing.T) {
 	if _, err := LoadMonitor(bytes.NewReader([]byte("nope nope nope nope"))); err == nil {
 		t.Fatal("expected format error")
+	}
+	// Legacy section magics no longer load: the model container
+	// (MULTI1), its first instance (OSELM1/2, after the container's
+	// magic, class count and the instance's metric word) and the
+	// detector section (EDDET1/2, right after the model).
+	mon, full := savedMonitor(t, 38)
+	var mb bytes.Buffer
+	if _, err := mon.model.Save(&mb, Float64); err != nil {
+		t.Fatal(err)
+	}
+	const instanceMagic = 6 + 4 + 4
+	for _, c := range []struct {
+		at    int
+		magic string
+	}{
+		{0, "MULTI1"},
+		{instanceMagic, "OSELM1"}, {instanceMagic, "OSELM2"},
+		{mb.Len(), "EDDET1"}, {mb.Len(), "EDDET2"},
+	} {
+		if got := string(full[c.at : c.at+5]); got != c.magic[:5] {
+			t.Fatalf("offset %d holds %q, want the %s magic", c.at, got, c.magic[:5])
+		}
+		legacy := append([]byte(nil), full...)
+		copy(legacy[c.at:], c.magic)
+		if _, err := LoadMonitor(bytes.NewReader(legacy)); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%s artifact: err = %v, want ErrBadFormat", c.magic, err)
+		}
 	}
 }
