@@ -147,16 +147,21 @@ bench-pressure:
 # Short fuzz passes over every deserialiser: corrupt or truncated
 # artifacts must fail with ErrBadFormat, never panic; untrusted wire
 # payloads must fail with ErrProtocol, never panic. `go test -fuzz`
-# takes one target per invocation, hence one run per format.
+# takes one target per invocation, hence one run per format. Input
+# minimisation is capped at 1s so a new interesting input cannot eat the
+# run's budget.
+FUZZ = $(GO) test -fuzztime=10s -fuzzminimizetime=1s
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzLoad -fuzztime=10s ./internal/oselm/
-	$(GO) test -fuzz=FuzzLoadState -fuzztime=10s ./internal/core/
-	$(GO) test -fuzz=FuzzLoadPool -fuzztime=10s ./internal/pool/
-	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s .
-	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
-	$(GO) test -fuzz=FuzzParseBatch -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzParseResults -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzParseControl -fuzztime=10s ./internal/wire/
+	$(FUZZ) -fuzz=FuzzLoad ./internal/oselm/
+	$(FUZZ) -fuzz=FuzzLoadState ./internal/core/
+	$(FUZZ) -fuzz=FuzzLoadPool ./internal/pool/
+	$(FUZZ) -fuzz=FuzzLoadQ16 ./internal/fixed/
+	$(FUZZ) -fuzz=FuzzMergeStates ./internal/model/
+	$(FUZZ) -fuzz=FuzzLoadMonitor .
+	$(FUZZ) -fuzz=FuzzLoadFleet .
+	$(FUZZ) -fuzz=FuzzParseBatch ./internal/wire/
+	$(FUZZ) -fuzz=FuzzParseResults ./internal/wire/
+	$(FUZZ) -fuzz=FuzzParseControl ./internal/wire/
 
 # The serving tier must not link the research harness: fails if the
 # shard, router or fleet packages depend on the experiment drivers,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,12 +39,7 @@ func runCoop(args []string) int {
 	}
 
 	if *jsonPath != "" {
-		b, err := json.MarshalIndent(cmp, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "coop:", err)
-			return 1
-		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
+		if err := writeJSON(*jsonPath, cmp); err != nil {
 			fmt.Fprintln(os.Stderr, "coop:", err)
 			return 1
 		}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,21 +46,7 @@ func runFleet(args []string) int {
 	// The Q16.16 port is quantised from a fitted monitor, so the shared
 	// artifact is trained (and serialised) at f64 and each clone is
 	// quantised after loading; f32 trains and ships at f32 directly.
-	trainPrec := prec
-	if prec == edgedrift.Fixed16 {
-		trainPrec = edgedrift.Float64
-	}
-	mon, err := edgedrift.New(edgedrift.Options{
-		Classes: 2, Inputs: nslkdd.Features, Hidden: 22, Window: 100, Seed: *seed,
-		Precision: trainPrec,
-	})
-	if err == nil {
-		err = mon.Fit(ds.TrainX, ds.TrainY)
-	}
-	var art bytes.Buffer
-	if err == nil {
-		err = mon.Save(&art, trainPrec)
-	}
+	art, err := trainTemplate(*seed, prec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleet: train shared monitor: %v\n", err)
 		return 1
@@ -79,7 +64,7 @@ func runFleet(args []string) int {
 	ids := make([]string, *streams)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("stream-%03d", i)
-		m, err := edgedrift.LoadMonitor(bytes.NewReader(art.Bytes()))
+		m, err := edgedrift.LoadMonitor(bytes.NewReader(art))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fleet: clone monitor: %v\n", err)
 			return 1
@@ -192,7 +177,7 @@ func runFleet(args []string) int {
 			sum.PerStreamMedian = rates[len(rates)/2]
 			sum.PerStreamMax = rates[len(rates)-1]
 		}
-		if err := writeFleetJSON(*jsonPath, sum); err != nil {
+		if err := writeJSON(*jsonPath, sum); err != nil {
 			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 			return 1
 		}
@@ -220,12 +205,4 @@ type fleetSummary struct {
 	EventsDropped   uint64  `json:"events_dropped"`
 	MemoryBytes     int     `json:"memory_bytes"`
 	Healthy         bool    `json:"healthy"`
-}
-
-func writeFleetJSON(path string, sum fleetSummary) error {
-	b, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -140,12 +139,7 @@ func runLoadgen(args []string) int {
 		report.Points = append(report.Points, pt)
 	}
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		return 1
-	}
-	if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
+	if err := writeJSON(*jsonPath, report); err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		return 1
 	}

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -252,4 +253,14 @@ func writeCSV(dir, id string, out *eval.Outcome) error {
 		}
 	}
 	return nil
+}
+
+// writeJSON writes v to path as two-space-indented JSON ending in a
+// newline: the layout of every subcommand's -json artifact.
+func writeJSON(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -134,12 +133,7 @@ func runPrecision(args []string) int {
 			F32SIMD:  mat.F32SIMD(),
 			Backends: rows,
 		}
-		b, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "precision: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
+		if err := writeJSON(*jsonPath, sum); err != nil {
 			fmt.Fprintf(os.Stderr, "precision: %v\n", err)
 			return 1
 		}

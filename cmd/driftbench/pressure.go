@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -50,12 +49,7 @@ func runPressure(args []string) int {
 	fmt.Printf("golden gate (demote→promote off-path bit-exact): %v\n", rep.GoldenGateOK)
 
 	if *jsonPath != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pressure: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
+		if err := writeJSON(*jsonPath, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "pressure: %v\n", err)
 			return 1
 		}

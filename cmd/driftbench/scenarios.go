@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,12 +37,7 @@ func runScenarios(args []string) int {
 	}
 
 	if *jsonPath != "" {
-		b, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scenarios:", err)
-			return 1
-		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
+		if err := writeJSON(*jsonPath, m); err != nil {
 			fmt.Fprintln(os.Stderr, "scenarios:", err)
 			return 1
 		}

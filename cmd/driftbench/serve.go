@@ -91,21 +91,7 @@ func runServe(args []string) int {
 	ds := nslkdd.Generate(nslkdd.DefaultParams())
 	// Same cloning scheme as `driftbench fleet`: q16 members are
 	// quantised from an f64-trained clone, f64/f32 train directly.
-	trainPrec := prec
-	if prec == edgedrift.Fixed16 {
-		trainPrec = edgedrift.Float64
-	}
-	mon, err := edgedrift.New(edgedrift.Options{
-		Classes: 2, Inputs: nslkdd.Features, Hidden: 22, Window: 100, Seed: *seed,
-		Precision: trainPrec,
-	})
-	if err == nil {
-		err = mon.Fit(ds.TrainX, ds.TrainY)
-	}
-	var art bytes.Buffer
-	if err == nil {
-		err = mon.Save(&art, trainPrec)
-	}
+	art, err := trainTemplate(*seed, prec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: train shared monitor: %v\n", err)
 		return 1
@@ -122,7 +108,7 @@ func runServe(args []string) int {
 	ids := make([]string, *streams)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("stream-%03d", i)
-		m, err := edgedrift.LoadMonitor(bytes.NewReader(art.Bytes()))
+		m, err := edgedrift.LoadMonitor(bytes.NewReader(art))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: clone monitor: %v\n", err)
 			return 1

@@ -1,10 +1,13 @@
-// Package ckpt provides the checksum plumbing shared by every versioned
-// checkpoint format in the repository (oselm, model, core, and the
-// top-level monitor artifacts). An artifact is its payload followed by
-// a 4-byte little-endian CRC32 (IEEE) footer covering every byte from
-// the magic onward, so a truncated or bit-flipped artifact shipped to a
-// device fails loudly at load time instead of running with corrupt
-// weights.
+// Package ckpt is the one codec behind every checksummed checkpoint
+// format in the repository: OSELM3 and its autoencoder envelope
+// (oselm), MULTI2 (model), EDDET3 (core), QFIX01 (fixed), POOL1 (pool)
+// and FLEET4 with its member payloads (fleet). An artifact is its magic
+// and little-endian fields followed by a 4-byte little-endian CRC32
+// (IEEE) footer covering every byte from the magic onward, so a
+// truncated or bit-flipped artifact shipped to a device fails loudly at
+// load time instead of running with corrupt weights. Formats write
+// through an Encoder and read through a Decoder (codec.go); Writer and
+// Reader underneath them do the hashing.
 //
 // The writer and reader nest: when an outer format (the multi-instance
 // model) streams an inner artifact (an OS-ELM instance) through its own
@@ -82,10 +85,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 	r.crc.Write(p[:n])
 	return n, err
 }
-
-// Fold hashes bytes the caller already consumed from the underlying
-// stream before wrapping it — the magic the loader checked.
-func (r *Reader) Fold(p []byte) { r.crc.Write(p) }
 
 // VerifyFooter reads the 4-byte footer from the underlying stream
 // (deliberately not folding it into this reader's own hash) and compares

@@ -39,25 +39,6 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFoldCoversPreConsumedMagic(t *testing.T) {
-	payload := []byte("MAGIC2 rest of the body")
-	full := roundTrip(t, payload)
-	// A loader reads the magic raw to dispatch on it, then wraps the rest.
-	raw := bytes.NewReader(full)
-	magic := make([]byte, 6)
-	if _, err := io.ReadFull(raw, magic); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(raw)
-	r.Fold(magic)
-	if _, err := io.Copy(io.Discard, io.LimitReader(r, int64(len(payload)-6))); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.VerifyFooter(); err != nil {
-		t.Fatalf("fold path rejected a valid artifact: %v", err)
-	}
-}
-
 func TestVerifyFooterDetectsEveryFlippedByte(t *testing.T) {
 	payload := []byte("body under test")
 	full := roundTrip(t, payload)

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"edgedrift/internal/ckpt"
 	"edgedrift/internal/model"
@@ -15,69 +13,11 @@ import (
 // (the caller-pinned threshold overrides Config.ErrorThreshold /
 // DriftThreshold included), centroids, counts and thresholds, then a
 // CRC32 footer (see internal/ckpt).
-var detMagic = [6]byte{'E', 'D', 'D', 'E', 'T', '3'}
+const detMagic = "EDDET3"
 
 // ErrBadFormat reports a stream that is not a serialised detector of the
 // current version, or one that is truncated or corrupt.
-var ErrBadFormat = errors.New("core: not a serialised detector (or unsupported version)")
-
-// Sanity bounds on deserialised shape fields, so a corrupt header fails
-// as ErrBadFormat instead of demanding an absurd allocation.
-const (
-	maxLoadClasses       = 1 << 20
-	maxLoadDims          = 1 << 20
-	maxLoadCentroidElems = 1 << 26
-)
-
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func putF64(w io.Writer, v float64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getF64(r io.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-func putF64s(w io.Writer, xs []float64) error {
-	for _, v := range xs {
-		if err := putF64(w, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func getF64s(r io.Reader, dst []float64) error {
-	for i := range dst {
-		v, err := getF64(r)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
+var ErrBadFormat = fmt.Errorf("core: not a serialised detector: %w", ckpt.ErrBadFormat)
 
 // SaveState serialises the calibrated detector state: configuration,
 // centroids, counts and thresholds. The bound model is NOT included —
@@ -91,11 +31,7 @@ func (d *Detector) SaveState(w io.Writer) error {
 	if d.drift {
 		return errors.New("core: SaveState during reconstruction")
 	}
-	cw := ckpt.NewWriter(w)
-	w = cw
-	if _, err := w.Write(detMagic[:]); err != nil {
-		return err
-	}
+	e := ckpt.NewEncoder(w, detMagic)
 	for _, v := range []uint32{
 		uint32(d.classes), uint32(d.dims), uint32(d.cfg.Window),
 		uint32(d.cfg.NSearch), uint32(d.cfg.NUpdate), uint32(d.cfg.NRecon),
@@ -103,9 +39,7 @@ func (d *Detector) SaveState(w io.Writer) error {
 		boolU32(d.cfg.ResetWindowState), boolU32(d.cfg.AlwaysCheck),
 		boolU32(d.check), uint32(d.win),
 	} {
-		if err := putU32(w, v); err != nil {
-			return err
-		}
+		e.U32(v)
 	}
 	for _, v := range []float64{
 		d.cfg.ZDrift, d.cfg.ZError, d.cfg.EWMAGamma,
@@ -115,25 +49,15 @@ func (d *Detector) SaveState(w io.Writer) error {
 		// post-reconstruction behaviour and must survive a round trip.
 		d.cfg.ErrorThreshold, d.cfg.DriftThreshold,
 	} {
-		if err := putF64(w, v); err != nil {
-			return err
-		}
+		e.F64(v)
 	}
 	for c := 0; c < d.classes; c++ {
-		if err := putF64s(w, d.trainCor[c]); err != nil {
-			return err
-		}
-		if err := putF64s(w, d.cor[c]); err != nil {
-			return err
-		}
-		if err := putU32(w, uint32(d.num[c])); err != nil {
-			return err
-		}
-		if err := putU32(w, uint32(d.baseNum[c])); err != nil {
-			return err
-		}
+		ckpt.PutFloats(e, d.trainCor[c], 8)
+		ckpt.PutFloats(e, d.cor[c], 8)
+		e.U32(uint32(d.num[c]))
+		e.U32(uint32(d.baseNum[c]))
 	}
-	return cw.WriteFooter()
+	return e.Finish()
 }
 
 func boolU32(b bool) uint32 {
@@ -227,64 +151,36 @@ func (d *Detector) RestoreState(r io.Reader) error {
 // dimension. Every failure wraps ErrBadFormat so callers can classify
 // corruption with errors.Is.
 func LoadState(r io.Reader, m *model.Multi) (*Detector, error) {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, badFormat(fmt.Errorf("load header: %w", err))
-	}
-	if got != detMagic {
-		return nil, ErrBadFormat
-	}
-	cr := ckpt.NewReader(r)
-	cr.Fold(got[:])
-	d, err := loadStateBody(cr, m)
-	if err != nil {
-		return nil, badFormat(err)
-	}
-	if err := cr.VerifyFooter(); err != nil {
-		return nil, badFormat(err)
-	}
-	return d, nil
-}
-
-// badFormat wraps a load failure so it matches both ErrBadFormat and the
-// underlying cause.
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("core: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-// loadStateBody parses the payload that follows the magic.
-func loadStateBody(r io.Reader, m *model.Multi) (*Detector, error) {
+	dec := ckpt.Open(r, detMagic, ErrBadFormat)
 	var u [13]uint32
 	for i := range u {
-		v, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		u[i] = v
+		u[i] = dec.U32()
 	}
 	var f [8]float64
 	for i := range f {
-		v, err := getF64(r)
-		if err != nil {
-			return nil, err
-		}
-		f[i] = v
+		f[i] = dec.F64()
 	}
-	classes, dims := int(u[0]), int(u[1])
-	if classes <= 0 || classes > maxLoadClasses || dims <= 0 || dims > maxLoadDims ||
-		classes*dims > maxLoadCentroidElems {
-		return nil, fmt.Errorf("%w: implausible shape %d×%d", ErrBadFormat, classes, dims)
+	classes, dims := m.Classes(), m.Config().Inputs
+	if dec.Err() == nil && u[0] != uint32(classes) {
+		dec.Failf("core: model has %d classes, state has %d", classes, u[0])
 	}
-	if m.Classes() != classes {
-		return nil, fmt.Errorf("core: model has %d classes, state has %d", m.Classes(), classes)
+	if dec.Err() == nil && u[1] != uint32(dims) {
+		dec.Failf("core: model dimension %d, state %d", dims, u[1])
 	}
-	if m.Config().Inputs != dims {
-		return nil, fmt.Errorf("core: model dimension %d, state %d", m.Config().Inputs, dims)
+	// The shape is the model's from here on, so the loop below is
+	// bounded by it, not by the header.
+	var trainCor, cor [][]float64
+	var num, baseNum []int
+	for c := 0; c < classes && dec.Err() == nil; c++ {
+		trainCor = append(trainCor, ckpt.Floats[float64](dec, uint64(dims), 8))
+		cor = append(cor, ckpt.Floats[float64](dec, uint64(dims), 8))
+		num = append(num, int(dec.U32()))
+		baseNum = append(baseNum, int(dec.U32()))
 	}
-	cfg := Config{
+	if err := dec.Close(); err != nil {
+		return nil, err
+	}
+	d, err := New(m, Config{
 		Window:            int(u[2]),
 		NSearch:           int(u[3]),
 		NUpdate:           int(u[4]),
@@ -300,39 +196,14 @@ func loadStateBody(r io.Reader, m *model.Multi) (*Detector, error) {
 		ErrorThreshold:    f[6],
 		DriftThreshold:    f[7],
 		Precision:         m.Precision(),
-	}
-	d, err := New(m, cfg)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadFormat, err)
 	}
-	d.thetaError, d.thetaDrift = f[3], f[4]
+	d.thetaError, d.thetaDrift, d.dist = f[3], f[4], f[5]
 	d.check = u[11] == 1
 	d.win = int(u[12])
-	d.dist = f[5]
-	d.trainCor = make([][]float64, classes)
-	d.cor = make([][]float64, classes)
-	d.num = make([]int, classes)
-	d.baseNum = make([]int, classes)
-	for c := 0; c < classes; c++ {
-		d.trainCor[c] = make([]float64, dims)
-		d.cor[c] = make([]float64, dims)
-		if err := getF64s(r, d.trainCor[c]); err != nil {
-			return nil, err
-		}
-		if err := getF64s(r, d.cor[c]); err != nil {
-			return nil, err
-		}
-		n, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		d.num[c] = int(n)
-		bn, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		d.baseNum[c] = int(bn)
-	}
+	d.trainCor, d.cor, d.num, d.baseNum = trainCor, cor, num, baseNum
 	d.calibrated = true
 	d.initScoreBins()
 	return d, nil

@@ -1,15 +1,13 @@
 package fixed
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"edgedrift/internal/ckpt"
 )
 
-// qfixMagicV1 identifies a serialised fixed-point monitor (QFIX01): the
+// qfixMagic identifies a serialised fixed-point monitor (QFIX01): the
 // magic, the monitor geometry, every instance's quantised parameters,
 // the centroid state and the drift state machine, all as exact Q16.16
 // words — integer state round-trips bit-for-bit by construction. The
@@ -20,18 +18,19 @@ import (
 // migratable: the float Monitor ships as an OSELM3 artifact, the
 // quantised port ships as QFIX01, and the fleet container's member-kind
 // byte says which decoder to use.
-var qfixMagicV1 = [6]byte{'Q', 'F', 'I', 'X', '0', '1'}
+const qfixMagic = "QFIX01"
 
 // ErrBadFormat reports a stream that is not a serialised fixed-point
 // monitor, or one that is truncated or corrupt.
-var ErrBadFormat = errors.New("fixed: not a serialised fixed-point monitor (or corrupt artifact)")
+var ErrBadFormat = fmt.Errorf("fixed: not a serialised fixed-point monitor: %w", ckpt.ErrBadFormat)
 
-// Sanity bounds so a corrupt header fails as ErrBadFormat instead of
-// demanding an absurd allocation.
+// Sanity bounds so a corrupt header fails fast instead of reading
+// towards an absurd shape.
 const (
-	maxLoadDim     = 1 << 20
-	maxLoadClasses = 1 << 16
-	maxLoadEvents  = 1 << 24
+	maxLoadDim         = 1 << 20
+	maxLoadClasses     = 1 << 16
+	maxLoadMatrixElems = 1 << 26
+	maxLoadEvents      = 1 << 24
 )
 
 // Save serialises the monitor's complete state to w. The artifact is a
@@ -41,36 +40,24 @@ const (
 // h, recon, batch buffers — is rebuilt at load and never carries state
 // across samples).
 func (mon *Monitor) Save(w io.Writer) error {
-	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(qfixMagicV1[:]); err != nil {
-		return err
-	}
-	if err := putU32s(cw, uint32(mon.dims), uint32(mon.window), uint32(len(mon.instances))); err != nil {
-		return err
-	}
-	if err := putQs(cw, []Q{mon.thetaError, mon.thetaDrift}); err != nil {
-		return err
-	}
+	e := ckpt.NewEncoder(w, qfixMagic)
+	e.U32(uint32(mon.dims))
+	e.U32(uint32(mon.window))
+	e.U32(uint32(len(mon.instances)))
+	e.U32(uint32(mon.thetaError))
+	e.U32(uint32(mon.thetaDrift))
 	for _, inst := range mon.instances {
-		if err := putU32s(cw, uint32(inst.inputs), uint32(inst.hidden), uint32(inst.sat)); err != nil {
-			return err
-		}
-		for _, qs := range [][]Q{inst.w, inst.bias, inst.beta} {
-			if err := putQs(cw, qs); err != nil {
-				return err
-			}
-		}
+		e.U32(uint32(inst.inputs))
+		e.U32(uint32(inst.hidden))
+		e.U32(uint32(inst.sat))
+		ckpt.PutWords(e, inst.w)
+		ckpt.PutWords(e, inst.bias)
+		ckpt.PutWords(e, inst.beta)
 	}
 	for c := range mon.instances {
-		if err := putQs(cw, mon.trainCor[c]); err != nil {
-			return err
-		}
-		if err := putQs(cw, mon.cor[c]); err != nil {
-			return err
-		}
-		if err := putU32s(cw, uint32(mon.num[c])); err != nil {
-			return err
-		}
+		ckpt.PutWords(e, mon.trainCor[c])
+		ckpt.PutWords(e, mon.cor[c])
+		e.U32(uint32(mon.num[c]))
 	}
 	flags := byte(0)
 	if mon.check {
@@ -79,148 +66,88 @@ func (mon *Monitor) Save(w io.Writer) error {
 	if mon.pending {
 		flags |= 2
 	}
-	if _, err := cw.Write([]byte{flags}); err != nil {
-		return err
+	e.U8(flags)
+	e.U32(uint32(mon.win))
+	e.U32(uint32(mon.dist))
+	e.U64(uint64(mon.samples))
+	e.U32(uint32(len(mon.events)))
+	for _, ev := range mon.events {
+		e.U64(uint64(ev))
 	}
-	if err := putU32s(cw, uint32(mon.win)); err != nil {
-		return err
-	}
-	if err := putQs(cw, []Q{mon.dist}); err != nil {
-		return err
-	}
-	if err := putU64(cw, uint64(mon.samples)); err != nil {
-		return err
-	}
-	if err := putU32s(cw, uint32(len(mon.events))); err != nil {
-		return err
-	}
-	for _, e := range mon.events {
-		if err := putU64(cw, uint64(e)); err != nil {
-			return err
-		}
-	}
-	if err := putU32s(cw, uint32(mon.sat)); err != nil {
-		return err
-	}
-	return cw.WriteFooter()
+	e.U32(uint32(mon.sat))
+	return e.Finish()
 }
 
 // LoadMonitor deserialises a monitor written by Save. It is immediately
 // ready to Process; operation counting (SetOps) and batch staging are
 // reattached or rebuilt lazily by the caller as needed.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, badFormat(fmt.Errorf("load header: %w", err))
-	}
-	if got != qfixMagicV1 {
-		return nil, ErrBadFormat
-	}
-	cr := ckpt.NewReader(r)
-	cr.Fold(got[:])
-	var dims, window, classes uint32
-	if err := getU32s(cr, &dims, &window, &classes); err != nil {
-		return nil, badFormat(err)
-	}
-	if dims == 0 || dims > maxLoadDim || window > maxLoadDim || classes == 0 || classes > maxLoadClasses {
-		return nil, badFormat(fmt.Errorf("implausible geometry dims=%d window=%d classes=%d", dims, window, classes))
+	d := ckpt.Open(r, qfixMagic, ErrBadFormat)
+	dims, window, classes := d.U32(), d.U32(), d.U32()
+	if d.Err() == nil && (dims == 0 || dims > maxLoadDim || window > maxLoadDim || classes == 0 || classes > maxLoadClasses) {
+		d.Failf("implausible geometry dims=%d window=%d classes=%d", dims, window, classes)
 	}
 	mon := &Monitor{
-		dims:   int(dims),
-		window: int(window),
-		num:    make([]int32, classes),
+		dims:       int(dims),
+		window:     int(window),
+		thetaError: Q(d.U32()),
+		thetaDrift: Q(d.U32()),
 	}
-	var thetas [2]Q
-	if err := getQs(cr, thetas[:]); err != nil {
-		return nil, badFormat(err)
+	// Per-class state is appended as it decodes: the header alone sizes
+	// nothing.
+	for c := uint32(0); c < classes && d.Err() == nil; c++ {
+		mon.instances = append(mon.instances, loadInstance(d, c, dims))
 	}
-	mon.thetaError, mon.thetaDrift = thetas[0], thetas[1]
-	for c := uint32(0); c < classes; c++ {
-		var inputs, hidden, sat uint32
-		if err := getU32s(cr, &inputs, &hidden, &sat); err != nil {
-			return nil, badFormat(err)
-		}
-		if inputs == 0 || inputs > maxLoadDim || hidden == 0 || hidden > maxLoadDim {
-			return nil, badFormat(fmt.Errorf("instance %d: implausible shape %dx%d", c, inputs, hidden))
-		}
-		inst := &Autoencoder{
-			inputs: int(inputs),
-			hidden: int(hidden),
-			w:      make([]Q, int(hidden)*int(inputs)),
-			bias:   make([]Q, hidden),
-			beta:   make([]Q, int(hidden)*int(inputs)),
-			h:      make([]Q, hidden),
-			recon:  make([]Q, inputs),
-			sat:    int(sat),
-		}
-		for _, qs := range [][]Q{inst.w, inst.bias, inst.beta} {
-			if err := getQs(cr, qs); err != nil {
-				return nil, badFormat(fmt.Errorf("instance %d: %w", c, err))
-			}
-		}
-		mon.instances = append(mon.instances, inst)
+	for c := uint32(0); c < classes && d.Err() == nil; c++ {
+		mon.trainCor = append(mon.trainCor, ckpt.Words[Q](d, uint64(dims)))
+		mon.cor = append(mon.cor, ckpt.Words[Q](d, uint64(dims)))
+		mon.num = append(mon.num, int32(d.U32()))
 	}
-	for c := uint32(0); c < classes; c++ {
-		trainCor := make([]Q, dims)
-		cor := make([]Q, dims)
-		if err := getQs(cr, trainCor); err != nil {
-			return nil, badFormat(err)
-		}
-		if err := getQs(cr, cor); err != nil {
-			return nil, badFormat(err)
-		}
-		var num uint32
-		if err := getU32s(cr, &num); err != nil {
-			return nil, badFormat(err)
-		}
-		mon.trainCor = append(mon.trainCor, trainCor)
-		mon.cor = append(mon.cor, cor)
-		mon.num[c] = int32(num)
-	}
-	var flags [1]byte
-	if _, err := io.ReadFull(cr, flags[:]); err != nil {
-		return nil, badFormat(err)
-	}
-	mon.check = flags[0]&1 != 0
-	mon.pending = flags[0]&2 != 0
-	var win uint32
-	if err := getU32s(cr, &win); err != nil {
-		return nil, badFormat(err)
-	}
-	mon.win = int(win)
-	var dist [1]Q
-	if err := getQs(cr, dist[:]); err != nil {
-		return nil, badFormat(err)
-	}
-	mon.dist = dist[0]
-	smp, err := getU64(cr)
-	if err != nil {
-		return nil, badFormat(err)
-	}
-	mon.samples = int(smp)
-	var nEvents uint32
-	if err := getU32s(cr, &nEvents); err != nil {
-		return nil, badFormat(err)
-	}
+	flags := d.U8()
+	mon.check = flags&1 != 0
+	mon.pending = flags&2 != 0
+	mon.win = int(d.U32())
+	mon.dist = Q(d.U32())
+	mon.samples = int(d.U64())
+	nEvents := d.U32()
 	if nEvents > maxLoadEvents {
-		return nil, badFormat(fmt.Errorf("implausible event count %d", nEvents))
+		d.Failf("implausible event count %d", nEvents)
 	}
-	for i := uint32(0); i < nEvents; i++ {
-		e, err := getU64(cr)
-		if err != nil {
-			return nil, badFormat(err)
-		}
-		mon.events = append(mon.events, int(e))
+	for i := uint32(0); i < nEvents && d.Err() == nil; i++ {
+		mon.events = append(mon.events, int(d.U64()))
 	}
-	var sat uint32
-	if err := getU32s(cr, &sat); err != nil {
-		return nil, badFormat(err)
-	}
-	mon.sat = int(sat)
-	if err := cr.VerifyFooter(); err != nil {
-		return nil, badFormat(err)
+	mon.sat = int(d.U32())
+	if err := d.Close(); err != nil {
+		return nil, err
 	}
 	return mon, nil
+}
+
+// loadInstance decodes class c's autoencoder, whose input width must be
+// the monitor's dims. Its compute staging is sized only once its slabs
+// have arrived. Nil on failure.
+func loadInstance(d *ckpt.Decoder, c, dims uint32) *Autoencoder {
+	inputs, hidden, sat := d.U32(), d.U32(), d.U32()
+	n := uint64(hidden) * uint64(inputs)
+	if d.Err() == nil && (inputs != dims || hidden == 0 || hidden > maxLoadDim || n > maxLoadMatrixElems) {
+		d.Failf("instance %d: implausible shape %dx%d", c, inputs, hidden)
+	}
+	w := ckpt.Words[Q](d, n)
+	bias := ckpt.Words[Q](d, uint64(hidden))
+	beta := ckpt.Words[Q](d, n)
+	if d.Err() != nil {
+		return nil
+	}
+	return &Autoencoder{
+		inputs: int(inputs),
+		hidden: int(hidden),
+		w:      w,
+		bias:   bias,
+		beta:   beta,
+		h:      make([]Q, hidden),
+		recon:  make([]Q, inputs),
+		sat:    int(sat),
+	}
 }
 
 // Save serialises the stream's wrapped monitor (the stream itself holds
@@ -235,72 +162,4 @@ func LoadStream(r io.Reader) (*Stream, error) {
 		return nil, err
 	}
 	return NewStream(mon), nil
-}
-
-// badFormat wraps a load failure so it matches both ErrBadFormat and
-// the underlying cause (including ckpt.ErrChecksum).
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("fixed: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-func putU32s(w io.Writer, vs ...uint32) error {
-	var b [4]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(b[:], v)
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func getU32s(r io.Reader, vs ...*uint32) error {
-	var b [4]byte
-	for _, v := range vs {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return err
-		}
-		*v = binary.LittleEndian.Uint32(b[:])
-	}
-	return nil
-}
-
-func putU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// putQs writes a Q16.16 vector as little-endian 32-bit words.
-func putQs(w io.Writer, qs []Q) error {
-	buf := make([]byte, 4*len(qs))
-	for i, q := range qs {
-		binary.LittleEndian.PutUint32(buf[i*4:], uint32(q))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// getQs reads len(qs) little-endian 32-bit words into qs.
-func getQs(r io.Reader, qs []Q) error {
-	buf := make([]byte, 4*len(qs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range qs {
-		qs[i] = Q(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package fixed
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -116,4 +117,47 @@ func TestLoadCorruptionQFIX(t *testing.T) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrBadFormat", n, err)
 		}
 	}
+}
+
+// FuzzLoadQ16: LoadStream decodes the QFIX01 members a shard receives
+// in MigrateIn frames. Arbitrary bytes must never panic, a failure must
+// wrap ErrBadFormat, and whatever loads must re-save to the bytes it
+// came from.
+func FuzzLoadQ16(f *testing.F) {
+	det, r := calibratedFloatDetector(f, 7)
+	s := NewStream(QuantizeDetector(det))
+	for i := 0; i < 60; i++ {
+		s.Process(monSample(r, i%monClasses, 0))
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	art := buf.Bytes()
+	f.Add(art)
+	f.Add(art[:len(art)/2])
+	// The 38-byte payload whose inputs = hidden = 2²⁰ header once ran a
+	// shard out of memory.
+	crafted := []byte("QFIX01")
+	for _, v := range []uint32{1, 0, 1, 0, 0, 1 << 20, 1 << 20, 0} {
+		crafted = binary.LittleEndian.AppendUint32(crafted, v)
+	}
+	f.Add(crafted)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := LoadStream(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("load error %v does not wrap ErrBadFormat", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := st.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatal("a loaded monitor re-saved to different bytes")
+		}
+	})
 }

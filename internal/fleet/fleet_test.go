@@ -346,14 +346,11 @@ func TestMemberKindRoundTrip(t *testing.T) {
 	// in the payload, so a dropped or reordered kind cannot go unnoticed.
 	enc := func(id string, s core.Streaming, w io.Writer) (byte, error) {
 		c := s.(*countStage)
-		if err := putU32(w, uint32(c.samples)); err != nil {
-			return 0, err
-		}
-		return byte(c.driftEvery), nil
+		return byte(c.driftEvery), binary.Write(w, binary.LittleEndian, uint32(c.samples))
 	}
 	dec := func(id string, kind byte, r io.Reader) (core.Streaming, error) {
-		n, err := getU32(r)
-		if err != nil {
+		var n uint32
+		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
 		return &countStage{samples: int(n), driftEvery: int(kind)}, nil

@@ -2,12 +2,9 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"edgedrift/internal/ckpt"
 	"edgedrift/internal/core"
@@ -18,7 +15,7 @@ import (
 // (discriminating member encodings so mixed-precision and degraded
 // fleets round-trip), a length-prefixed cohort name, the member's u64
 // merge fingerprint at save time, and a length-prefixed payload. Every
-// member payload is written through its own nested ckpt.Writer and
+// member payload is written through its own nested ckpt.Encoder and
 // carries its own CRC32 footer, and the whole container — member
 // footers included — is covered by one outer footer. A flipped bit
 // therefore fails twice: once at the damaged member, once at the
@@ -27,11 +24,11 @@ import (
 // re-derives the live value from the decoded stage, which is what the
 // cohort index uses — but it lets offline tooling group compatible
 // members without decoding payloads.
-var fleetMagic = [6]byte{'F', 'L', 'E', 'E', 'T', '4'}
+const fleetMagic = "FLEET4"
 
 // ErrBadFormat reports a stream that is not a serialised fleet of the
 // current version, or one that is truncated or corrupt.
-var ErrBadFormat = errors.New("fleet: not a serialised fleet (or corrupt artifact)")
+var ErrBadFormat = fmt.Errorf("fleet: not a serialised fleet: %w", ckpt.ErrBadFormat)
 
 // ErrExportCollision reports a failed ExportMember whose rollback found
 // the id re-registered: between the deregistration and the encode
@@ -41,8 +38,8 @@ var ErrBadFormat = errors.New("fleet: not a serialised fleet (or corrupt artifac
 // about rather than discover as silently reset sample counts.
 var ErrExportCollision = errors.New("fleet: export rollback collision: id re-registered during export")
 
-// Sanity bounds so a corrupt header fails as ErrBadFormat instead of
-// demanding an absurd allocation.
+// Sanity bounds so a corrupt header fails fast instead of reading
+// towards an absurd size.
 const (
 	maxLoadMembers = 1 << 20
 	maxLoadIDLen   = 1 << 12
@@ -67,25 +64,23 @@ type DecodeFunc func(id string, kind byte, r io.Reader) (core.Streaming, error)
 // whole-fleet stop-the-world cut.
 func (f *Fleet) Save(w io.Writer, enc EncodeFunc) error {
 	ids := f.IDs()
-	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(fleetMagic[:]); err != nil {
-		return err
-	}
-	if err := putU32(cw, uint32(len(ids))); err != nil {
-		return err
-	}
+	e := ckpt.NewEncoder(w, fleetMagic)
+	e.U32(uint32(len(ids)))
 	var buf bytes.Buffer
 	for _, id := range ids {
 		buf.Reset()
 		var kind byte
 		var cohort string
 		var fprint uint64
-		inner := ckpt.NewWriter(&buf)
+		inner := ckpt.NewEncoder(&buf, "")
 		err := f.Do(id, func(s core.Streaming) error {
 			var encErr error
 			kind, encErr = enc(id, s, inner)
 			return encErr
 		})
+		if err == nil {
+			err = inner.Finish()
+		}
 		if err != nil {
 			return fmt.Errorf("fleet: save %q: %w", id, err)
 		}
@@ -94,35 +89,14 @@ func (f *Fleet) Save(w io.Writer, enc EncodeFunc) error {
 			cohort, fprint = m.cohort, m.fprint
 			m.mu.Unlock()
 		}
-		if err := inner.WriteFooter(); err != nil {
-			return fmt.Errorf("fleet: save %q: %w", id, err)
-		}
-		if err := putU32(cw, uint32(len(id))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(cw, id); err != nil {
-			return err
-		}
-		if _, err := cw.Write([]byte{kind}); err != nil {
-			return err
-		}
-		if err := putU32(cw, uint32(len(cohort))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(cw, cohort); err != nil {
-			return err
-		}
-		if err := putU64(cw, fprint); err != nil {
-			return err
-		}
-		if err := putU64(cw, uint64(buf.Len())); err != nil {
-			return err
-		}
-		if _, err := cw.Write(buf.Bytes()); err != nil {
-			return err
-		}
+		e.Blob([]byte(id))
+		e.U8(kind)
+		e.Blob([]byte(cohort))
+		e.U64(fprint)
+		e.U64(uint64(buf.Len()))
+		e.Write(buf.Bytes())
 	}
-	return cw.WriteFooter()
+	return e.Finish()
 }
 
 // Load reads a fleet container written by Save and registers every
@@ -131,120 +105,46 @@ func (f *Fleet) Save(w io.Writer, enc EncodeFunc) error {
 // error matching ErrBadFormat, naming the damaged member when one can
 // be identified.
 func (f *Fleet) Load(r io.Reader, dec DecodeFunc) error {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return badFormat(fmt.Errorf("load header: %w", err))
-	}
-	if got != fleetMagic {
-		return ErrBadFormat
-	}
-	cr := ckpt.NewReader(r)
-	cr.Fold(got[:])
-	count, err := getU32(cr)
-	if err != nil {
-		return badFormat(err)
-	}
+	d := ckpt.Open(r, fleetMagic, ErrBadFormat)
+	count := d.U32()
 	if count > maxLoadMembers {
-		return badFormat(fmt.Errorf("implausible member count %d", count))
+		d.Failf("implausible member count %d", count)
 	}
-	for i := uint32(0); i < count; i++ {
-		idLen, err := getU32(cr)
-		if err != nil {
-			return badFormat(err)
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
+		id := string(d.Blob(maxLoadIDLen))
+		if d.Err() == nil && id == "" {
+			d.Failf("empty member ID")
 		}
-		if idLen == 0 || idLen > maxLoadIDLen {
-			return badFormat(fmt.Errorf("implausible ID length %d", idLen))
-		}
-		idBytes := make([]byte, idLen)
-		if _, err := io.ReadFull(cr, idBytes); err != nil {
-			return badFormat(err)
-		}
-		id := string(idBytes)
-		var kind [1]byte
-		if _, err := io.ReadFull(cr, kind[:]); err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		clen, err := getU32(cr)
-		if err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		if clen > maxLoadIDLen {
-			return badFormat(fmt.Errorf("member %q: implausible cohort length %d", id, clen))
-		}
-		cb := make([]byte, clen)
-		if _, err := io.ReadFull(cr, cb); err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		cohort := string(cb)
+		kind := d.U8()
+		cohort := string(d.Blob(maxLoadIDLen))
 		// The saved fingerprint is folded into the checksum but the live
 		// value is re-derived from the decoded stage: the stage's own bits
 		// are authoritative, not a label alongside them.
-		if _, err := getU64(cr); err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
+		d.U64()
+		lim := &io.LimitedReader{R: d, N: int64(d.U64())}
+		if d.Err() != nil {
+			break
 		}
-		plen, err := getU64(cr)
+		s, err := decodePayload(lim, id, kind, dec)
+		if err == nil && lim.N != 0 {
+			err = fmt.Errorf("%d payload bytes left unconsumed", lim.N)
+		}
 		if err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		lim := &io.LimitedReader{R: cr, N: int64(plen)}
-		inner := ckpt.NewReader(lim)
-		s, err := dec(id, kind[0], inner)
-		if err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		if err := inner.VerifyFooter(); err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		if lim.N != 0 {
-			return badFormat(fmt.Errorf("member %q: %d payload bytes left unconsumed", id, lim.N))
-		}
-		if err := f.AddMember(id, s, MemberConfig{Cohort: cohort}); err != nil {
+			d.Fail(fmt.Errorf("member %q: %w", id, err))
+		} else if err := f.AddMember(id, s, MemberConfig{Cohort: cohort}); err != nil {
 			return err
 		}
 	}
-	if err := cr.VerifyFooter(); err != nil {
-		return badFormat(err)
-	}
-	return nil
+	return d.Close()
 }
 
-// SaveFile atomically writes the fleet artifact to path (temp file,
-// sync, rename — the same crash-safety contract as Monitor.SaveFile).
-func (f *Fleet) SaveFile(path string, enc EncodeFunc) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("fleet: save %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := f.Save(tmp, enc); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: save %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fleet: save %s: %w", path, err)
-	}
-	return nil
-}
-
-// LoadFile reads a fleet artifact written by SaveFile into f.
-func (f *Fleet) LoadFile(path string, dec DecodeFunc) error {
-	fh, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("fleet: load %s: %w", path, err)
-	}
-	defer fh.Close()
-	if err := f.Load(fh, dec); err != nil {
-		return fmt.Errorf("%w (%s)", err, path)
-	}
-	return nil
+// decodePayload decodes one member payload: the stage dec reads, then
+// the payload's own CRC32 footer.
+func decodePayload(r io.Reader, id string, kind byte, dec DecodeFunc) (core.Streaming, error) {
+	d := ckpt.Open(r, "", ErrBadFormat)
+	s, err := dec(id, kind, d)
+	d.Fail(err)
+	return s, d.Close()
 }
 
 // ExportMember atomically deregisters one member and serialises its
@@ -271,10 +171,10 @@ func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort strin
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	kind, err = enc(id, m.stage, cw)
+	e := ckpt.NewEncoder(&buf, "")
+	kind, err = enc(id, m.stage, e)
 	if err == nil {
-		err = cw.WriteFooter()
+		err = e.Finish()
 	}
 	if err != nil {
 		// Roll back: the member must survive a failed export. Taking the
@@ -293,11 +193,6 @@ func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort strin
 		}
 		sh.mu.Unlock()
 		if exists {
-			// The id was re-registered while the member was out of the
-			// registry. The new member keeps the slot — overwriting it
-			// would vanish a registration the caller was told succeeded —
-			// so the exported member is retired and the collision reported
-			// as a typed error: its lifetime counters did not survive.
 			m.removed = true
 			if m.cohort != "" {
 				// Drop the retired member's cohort entry unless the new
@@ -331,55 +226,12 @@ func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort strin
 // cooperating with its group.
 func (f *Fleet) ImportMember(id string, kind byte, cohort string, payload []byte, samples, drifts uint64, dec DecodeFunc) error {
 	br := bytes.NewReader(payload)
-	cr := ckpt.NewReader(br)
-	s, err := dec(id, kind, cr)
+	s, err := decodePayload(br, id, kind, dec)
+	if err == nil && br.Len() != 0 {
+		err = fmt.Errorf("%w: %d payload bytes left unconsumed", ErrBadFormat, br.Len())
+	}
 	if err != nil {
-		return badFormat(fmt.Errorf("import %q: %w", id, err))
-	}
-	if err := cr.VerifyFooter(); err != nil {
-		return badFormat(fmt.Errorf("import %q: %w", id, err))
-	}
-	if br.Len() != 0 {
-		return badFormat(fmt.Errorf("import %q: %d payload bytes left unconsumed", id, br.Len()))
+		return fmt.Errorf("fleet: import %q: %w", id, err)
 	}
 	return f.addMember(id, s, MemberConfig{Cohort: cohort}, samples, drifts)
-}
-
-// badFormat wraps a load failure so it matches both ErrBadFormat and
-// the underlying cause (including ckpt.ErrChecksum).
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("fleet: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func putU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }

@@ -26,7 +26,7 @@ func twoClassData(r *rng.Rand, n, dim int) (xs [][]float64, labels []int) {
 	return xs, labels
 }
 
-func newTrained(t *testing.T, seed uint64) (*Multi, [][]float64, []int) {
+func newTrained(t testing.TB, seed uint64) (*Multi, [][]float64, []int) {
 	t.Helper()
 	m, err := New(Config{Classes: 2, Inputs: 4, Hidden: 6, Ridge: 1e-2}, rng.New(seed))
 	if err != nil {

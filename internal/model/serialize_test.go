@@ -107,3 +107,38 @@ func TestMultiLoadRejectsAbsurdClassCount(t *testing.T) {
 	}
 	_ = rng.New(0) // keep import symmetry with sibling tests
 }
+
+// FuzzMergeStates: MergeStates decodes the peer blobs a shard receives
+// in a MergeState frame. Arbitrary bytes must never panic, and a
+// rejected merge must leave the model's state bit-identical.
+func FuzzMergeStates(f *testing.F) {
+	m, _, _ := newTrained(f, 70)
+	var saved bytes.Buffer
+	if _, err := m.Save(&saved, oselm.Float64); err != nil {
+		f.Fatal(err)
+	}
+	peer, err := m.ExportMergeState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(peer)
+	f.Add(peer[:len(peer)/2])
+	f.Add([]byte("EDMS1\x01\x00\x00\x00"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mm, err := Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mm.MergeStates([][]byte{data}) == nil {
+			return
+		}
+		after, err := mm.ExportMergeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, peer) {
+			t.Fatal("a rejected merge changed the model")
+		}
+	})
+}

@@ -202,32 +202,40 @@ func New(cfg Config, r *rng.Rand) (*Model, error) {
 }
 
 // alloc builds a model with the backend state the configuration's
-// precision selects, leaving weights unset. P, the RLS scratch and the
-// float64 activation image are allocated for every backend.
+// precision selects, leaving weights unset. P is float64 on every
+// backend.
 func alloc(c Config) *Model {
-	m := &Model{
-		cfg: c,
-		p:   mat.New(c.Hidden, c.Hidden),
-		h:   make([]float64, c.Hidden),
-		ph:  make([]float64, c.Hidden),
-		e:   make([]float64, c.Outputs),
-	}
+	m := &Model{cfg: c, p: mat.New(c.Hidden, c.Hidden)}
 	if c.Precision == Float32 {
 		m.w32 = mat.NewOf[float32](c.Hidden, c.Inputs)
 		m.bias32 = make([]float32, c.Hidden)
 		m.beta32 = mat.NewOf[float32](c.Hidden, c.Outputs)
-		m.h32 = make([]float32, c.Hidden)
-		m.x32 = make([]float32, c.Inputs)
-		m.o32 = make([]float32, c.Outputs)
-		m.u32 = make([]float32, c.Hidden)
-		m.e32 = make([]float32, c.Outputs)
 	} else {
 		m.w = mat.New(c.Hidden, c.Inputs)
 		m.bias = make([]float64, c.Hidden)
 		m.beta = mat.New(c.Hidden, c.Outputs)
 	}
-	m.initWatchdog()
+	m.initScratch()
 	return m
+}
+
+// initScratch allocates the per-sample staging around the model's
+// state — the RLS scratch and float64 activation image on every
+// backend, the narrowing buffers on the float32 one — and arms the
+// watchdog.
+func (m *Model) initScratch() {
+	c := m.cfg
+	m.h = make([]float64, c.Hidden)
+	m.ph = make([]float64, c.Hidden)
+	m.e = make([]float64, c.Outputs)
+	if c.Precision == Float32 {
+		m.h32 = make([]float32, c.Hidden)
+		m.x32 = make([]float32, c.Inputs)
+		m.o32 = make([]float32, c.Outputs)
+		m.u32 = make([]float32, c.Hidden)
+		m.e32 = make([]float32, c.Outputs)
+	}
+	m.initWatchdog()
 }
 
 // initWatchdog sets the watchdog defaults from the configuration.

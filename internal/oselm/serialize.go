@@ -1,11 +1,8 @@
 package oselm
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"edgedrift/internal/ckpt"
 	"edgedrift/internal/mat"
@@ -74,87 +71,19 @@ func ParsePrecision(s string) (Precision, error) {
 // compute-precision bytes, the configuration and the state slabs, then
 // a CRC32 footer (see internal/ckpt) so corruption fails loudly at load
 // time.
-var magic = [6]byte{'O', 'S', 'E', 'L', 'M', '3'}
+const magic = "OSELM3"
 
 // ErrBadFormat reports a stream that is not a serialised model of the
 // current version, or one that is truncated or corrupt.
-var ErrBadFormat = errors.New("oselm: not a serialised OS-ELM model (or unsupported version)")
+var ErrBadFormat = fmt.Errorf("oselm: not a serialised OS-ELM model: %w", ckpt.ErrBadFormat)
 
 // Sanity bounds on deserialised dimensions: large enough for any model
 // this library can usefully run, small enough that a bit-flipped header
-// can never demand an absurd allocation before the checksum is checked.
+// fails fast instead of reading towards an absurd shape.
 const (
 	maxLoadDim         = 1 << 16
 	maxLoadMatrixElems = 1 << 26
 )
-
-func writeFloats(w io.Writer, prec Precision, xs []float64) error {
-	if prec == Float32 {
-		buf := make([]byte, 4*len(xs))
-		for i, v := range xs {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(v)))
-		}
-		_, err := w.Write(buf)
-		return err
-	}
-	buf := make([]byte, 8*len(xs))
-	for i, v := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFloats(r io.Reader, prec Precision, dst []float64) error {
-	if prec == Float32 {
-		buf := make([]byte, 4*len(dst))
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
-		}
-		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-		return nil
-	}
-	buf := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return nil
-}
-
-func writeU32(w io.Writer, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-func writeF64(w io.Writer, v float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func readF64(r io.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
 
 // Save serialises the model (random projection, learned state and
 // configuration) to w in the versioned little-endian format: the
@@ -162,55 +91,34 @@ func readF64(r io.Reader) (float64, error) {
 // width; the model's compute precision is carried separately so a
 // float32 model reloads as one. It returns the number of bytes written.
 func (m *Model) Save(w io.Writer, prec Precision) (int64, error) {
-	cw := ckpt.NewWriter(w)
 	if prec != Float64 && prec != Float32 {
 		return 0, fmt.Errorf("oselm: %v is not a wire precision (valid: f64, f32)", prec)
 	}
-	if _, err := cw.Write(magic[:]); err != nil {
-		return cw.N(), err
-	}
-	if _, err := cw.Write([]byte{byte(prec), byte(m.cfg.Precision)}); err != nil {
-		return cw.N(), err
-	}
+	e := ckpt.NewEncoder(w, magic)
+	e.U8(byte(prec))
+	e.U8(byte(m.cfg.Precision))
 	for _, v := range []uint32{
 		uint32(m.cfg.Inputs), uint32(m.cfg.Hidden), uint32(m.cfg.Outputs),
 		uint32(m.cfg.Activation), uint32(m.inits),
 	} {
-		if err := writeU32(cw, v); err != nil {
-			return cw.N(), err
-		}
+		e.U32(v)
 	}
 	for _, v := range []float64{m.cfg.Forgetting, m.cfg.Ridge, m.cfg.WeightScale} {
-		if err := writeF64(cw, v); err != nil {
-			return cw.N(), err
-		}
+		e.F64(v)
 	}
-	for _, xs := range m.exportSlabs() {
-		if err := writeFloats(cw, prec, xs); err != nil {
-			return cw.N(), err
-		}
+	width := prec.Bytes()
+	if m.w32 != nil {
+		ckpt.PutFloats(e, m.w32.Data, width)
+		ckpt.PutFloats(e, m.bias32, width)
+		ckpt.PutFloats(e, m.beta32.Data, width)
+	} else {
+		ckpt.PutFloats(e, m.w.Data, width)
+		ckpt.PutFloats(e, m.bias, width)
+		ckpt.PutFloats(e, m.beta.Data, width)
 	}
-	if err := cw.WriteFooter(); err != nil {
-		return cw.N(), err
-	}
-	return cw.N(), nil
-}
-
-// exportSlabs returns the persistent state in serialisation order
-// (W, bias, β, P) as float64 slices. The float64 backend returns live
-// views; the float32 backend materialises converted copies — Save is an
-// export path, not a hot loop.
-func (m *Model) exportSlabs() [][]float64 {
-	if m.w32 == nil {
-		return [][]float64{m.w.Data, m.bias, m.beta.Data, m.p.Data}
-	}
-	w := make([]float64, len(m.w32.Data))
-	bias := make([]float64, len(m.bias32))
-	beta := make([]float64, len(m.beta32.Data))
-	mat.ConvertVec(w, m.w32.Data)
-	mat.ConvertVec(bias, m.bias32)
-	mat.ConvertVec(beta, m.beta32.Data)
-	return [][]float64{w, bias, beta, m.p.Data}
+	ckpt.PutFloats(e, m.p.Data, width)
+	err := e.Finish()
+	return e.N(), err
 }
 
 // Load deserialises a model written by Save. The returned model is
@@ -218,128 +126,81 @@ func (m *Model) exportSlabs() [][]float64 {
 // (truncation, checksum mismatch, implausible header) wraps ErrBadFormat
 // so callers can classify corruption with errors.Is.
 func Load(r io.Reader) (*Model, error) {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, badFormat(fmt.Errorf("load header: %w", err))
-	}
-	if got != magic {
-		return nil, ErrBadFormat
-	}
-	cr := ckpt.NewReader(r)
-	cr.Fold(got[:])
-	m, err := loadBody(cr)
-	if err != nil {
-		return nil, badFormat(err)
-	}
-	if err := cr.VerifyFooter(); err != nil {
-		return nil, badFormat(err)
+	d := ckpt.Open(r, magic, ErrBadFormat)
+	m := loadBody(d)
+	if err := d.Close(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// badFormat wraps a load failure so it matches both ErrBadFormat and
-// the underlying cause.
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("oselm: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
 // loadBody parses the payload that follows the magic: the wire- and
-// compute-precision bytes, then the configuration and state.
-func loadBody(r io.Reader) (*Model, error) {
-	var precs [2]byte
-	if _, err := io.ReadFull(r, precs[:]); err != nil {
-		return nil, err
-	}
-	prec, compute := Precision(precs[0]), Precision(precs[1])
+// compute-precision bytes, the configuration, then the state slabs,
+// which the model adopts. Nil on failure.
+func loadBody(d *ckpt.Decoder) *Model {
+	prec, compute := Precision(d.U8()), Precision(d.U8())
 	for _, p := range [...]Precision{prec, compute} {
 		if p != Float64 && p != Float32 {
-			return nil, ErrBadFormat
+			d.Fail(ErrBadFormat)
 		}
 	}
 	var u [5]uint32
 	for i := range u {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		u[i] = v
-	}
-	var f [3]float64
-	for i := range f {
-		v, err := readF64(r)
-		if err != nil {
-			return nil, err
-		}
-		f[i] = v
+		u[i] = d.U32()
 	}
 	cfg := Config{
 		Inputs:      int(u[0]),
 		Hidden:      int(u[1]),
 		Outputs:     int(u[2]),
 		Activation:  Activation(u[3]),
-		Forgetting:  f[0],
-		Ridge:       f[1],
-		WeightScale: f[2],
+		Forgetting:  d.F64(),
+		Ridge:       d.F64(),
+		WeightScale: d.F64(),
 		Precision:   compute,
 	}
-	if err := checkLoadDims(cfg); err != nil {
-		return nil, err
+	if d.Err() != nil {
+		return nil
+	}
+	for _, n := range [...]uint32{u[0], u[1], u[2]} {
+		if n == 0 || n > maxLoadDim {
+			d.Failf("implausible dimension %d", n)
+		}
+	}
+	h := uint64(u[1])
+	for _, n := range [...]uint64{h * uint64(u[0]), h * uint64(u[2]), h * h} {
+		if n > maxLoadMatrixElems {
+			d.Failf("implausible matrix size %d", n)
+		}
 	}
 	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, fmt.Errorf("oselm: load config: %w", err)
-	}
-	m := newEmpty(c)
-	if m.w32 == nil {
-		for _, xs := range [][]float64{m.w.Data, m.bias, m.beta.Data, m.p.Data} {
-			if err := readFloats(r, prec, xs); err != nil {
-				return nil, fmt.Errorf("oselm: load weights: %w", err)
-			}
-		}
+	d.Fail(err)
+	width := prec.Bytes()
+	m := &Model{cfg: c, inits: int(u[4])}
+	if c.Precision == Float32 {
+		m.w32, m.bias32, m.beta32 = loadSlabs[float32](d, c, width)
 	} else {
-		// Float32 backend: stage each slab through a float64 buffer, then
-		// narrow into the owned float32 state. P stays float64.
-		for _, dst := range [][]float32{m.w32.Data, m.bias32, m.beta32.Data} {
-			buf := make([]float64, len(dst))
-			if err := readFloats(r, prec, buf); err != nil {
-				return nil, fmt.Errorf("oselm: load weights: %w", err)
-			}
-			mat.ConvertVec(dst, buf)
-		}
-		if err := readFloats(r, prec, m.p.Data); err != nil {
-			return nil, fmt.Errorf("oselm: load weights: %w", err)
-		}
+		m.w, m.bias, m.beta = loadSlabs[float64](d, c, width)
 	}
-	m.inits = int(u[4])
-	return m, nil
+	p := ckpt.Floats[float64](d, h*h, width)
+	if d.Err() != nil {
+		return nil
+	}
+	m.p = mat.NewFromData(c.Hidden, c.Hidden, p)
+	m.initScratch()
+	return m
 }
 
-// checkLoadDims rejects deserialised dimensions no valid artifact can
-// carry, so a corrupt header fails as ErrBadFormat instead of demanding
-// a multi-gigabyte allocation.
-func checkLoadDims(c Config) error {
-	dims := [...]int{c.Inputs, c.Hidden, c.Outputs}
-	for _, d := range dims {
-		if d <= 0 || d > maxLoadDim {
-			return fmt.Errorf("%w: implausible dimension %d", ErrBadFormat, d)
-		}
+// loadSlabs reads W, b and β, converting them to the compute element
+// type E.
+func loadSlabs[E mat.Element](d *ckpt.Decoder, c Config, width int) (*mat.MatrixOf[E], []E, *mat.MatrixOf[E]) {
+	h := uint64(c.Hidden)
+	w := ckpt.Floats[E](d, h*uint64(c.Inputs), width)
+	bias := ckpt.Floats[E](d, h, width)
+	beta := ckpt.Floats[E](d, h*uint64(c.Outputs), width)
+	if d.Err() != nil {
+		return nil, nil, nil
 	}
-	for _, n := range [...]int{c.Hidden * c.Inputs, c.Hidden * c.Outputs, c.Hidden * c.Hidden} {
-		if n > maxLoadMatrixElems {
-			return fmt.Errorf("%w: implausible matrix size %d", ErrBadFormat, n)
-		}
-	}
-	return nil
-}
-
-// newEmpty allocates a model without drawing random weights (they will
-// be overwritten by a load). The configuration's compute precision
-// decides which backend's state gets allocated.
-func newEmpty(c Config) *Model {
-	return alloc(c)
+	return mat.NewFromData(c.Hidden, c.Inputs, w), bias, mat.NewFromData(c.Hidden, c.Outputs, beta)
 }
 
 // Save serialises an autoencoder: the score metric followed by its
@@ -347,42 +208,37 @@ func newEmpty(c Config) *Model {
 // metric field — which precedes the model's own checksummed region — is
 // covered too.
 func (a *Autoencoder) Save(w io.Writer, prec Precision) (int64, error) {
-	cw := ckpt.NewWriter(w)
-	if err := writeU32(cw, uint32(a.metric)); err != nil {
-		return cw.N(), err
+	e := ckpt.NewEncoder(w, "")
+	e.U32(uint32(a.metric))
+	if _, err := a.model.Save(e, prec); err != nil {
+		return e.N(), err
 	}
-	if _, err := a.model.Save(cw, prec); err != nil {
-		return cw.N(), err
-	}
-	if err := cw.WriteFooter(); err != nil {
-		return cw.N(), err
-	}
-	return cw.N(), nil
+	err := e.Finish()
+	return e.N(), err
 }
 
 // LoadAutoencoder deserialises an autoencoder written by Save.
 func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
-	cr := ckpt.NewReader(r)
-	metric, err := readU32(cr)
-	if err != nil {
-		return nil, badFormat(fmt.Errorf("load metric: %w", err))
+	d := ckpt.Open(r, "", ErrBadFormat)
+	metric := ScoreMetric(d.U32())
+	if metric > L2Norm {
+		d.Failf("unknown score metric %d", metric)
 	}
-	if metric > uint32(L2Norm) {
-		return nil, fmt.Errorf("%w: unknown score metric %d", ErrBadFormat, metric)
+	var m *Model
+	if d.Err() == nil {
+		var err error
+		m, err = Load(d)
+		d.Fail(err)
 	}
-	m, err := Load(cr)
-	if err != nil {
+	if d.Err() == nil && m.cfg.Inputs != m.cfg.Outputs {
+		d.Failf("serialised model is not an autoencoder")
+	}
+	if err := d.Close(); err != nil {
 		return nil, err
-	}
-	if err := cr.VerifyFooter(); err != nil {
-		return nil, badFormat(err)
-	}
-	if m.cfg.Inputs != m.cfg.Outputs {
-		return nil, errors.New("oselm: serialised model is not an autoencoder")
 	}
 	return &Autoencoder{
 		model:  m,
-		metric: ScoreMetric(metric),
+		metric: metric,
 		recon:  make([]float64, m.cfg.Inputs),
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"edgedrift/internal/ckpt"
 	"edgedrift/internal/mat"
 	"edgedrift/internal/rng"
 )
@@ -114,6 +115,27 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			t.Fatalf("OSELM%c artifact: err = %v, want ErrBadFormat", ver, err)
 		}
 	}
+	// A checksum-valid artifact with H = D = O = 2¹⁶: H·D, H·O and H·H
+	// wrap to 0 in a 32-bit int, so only the H-long bias slab follows the
+	// header. Multiplied in int, the 386 build accepted it and the first
+	// Predict panicked.
+	var wrap bytes.Buffer
+	e := ckpt.NewEncoder(&wrap, magic)
+	e.U8(byte(Float64))
+	e.U8(byte(Float64))
+	for _, v := range []uint32{1 << 16, 1 << 16, 1 << 16, uint32(Sigmoid), 0} {
+		e.U32(v)
+	}
+	for _, v := range []float64{1, 0.01, 1} {
+		e.F64(v)
+	}
+	ckpt.PutFloats(e, make([]float64, 1<<16), 8)
+	if err := e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&wrap); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("32-bit shape wrap: err = %v, want ErrBadFormat", err)
+	}
 }
 
 func TestLoadRejectsTruncated(t *testing.T) {
@@ -157,9 +179,7 @@ func TestLoadAutoencoderRejectsNonAutoencoder(t *testing.T) {
 	m := trainedModel(t) // Inputs 6 ≠ Outputs 3
 	var buf bytes.Buffer
 	// Fake the autoencoder wrapper: metric word + model.
-	if err := writeU32(&buf, uint32(MSE)); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write([]byte{byte(MSE), 0, 0, 0})
 	if _, err := m.Save(&buf, Float64); err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,9 @@ package pool
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"edgedrift/internal/ckpt"
@@ -275,14 +273,14 @@ var _ core.Streaming = (*Stage)(nil)
 // covered by one ckpt CRC32 footer. The nested blobs carry their own
 // footers, so a flipped bit fails at both the container and the
 // artifact level.
-var poolMagic = [5]byte{'P', 'O', 'O', 'L', '1'}
+const poolMagic = "POOL1"
 
 // ErrBadFormat reports a stream that is not a serialised POOL1
 // container, or one that is truncated or corrupt.
-var ErrBadFormat = errors.New("pool: not a serialised model pool (or corrupt artifact)")
+var ErrBadFormat = fmt.Errorf("pool: not a serialised model pool: %w", ckpt.ErrBadFormat)
 
-// Sanity bounds so a corrupt header fails as ErrBadFormat instead of
-// demanding an absurd allocation.
+// Sanity bounds so a corrupt header fails fast instead of reading
+// towards an absurd size.
 const (
 	maxLoadEntries  = 1 << 12
 	maxLoadBlobSize = 1 << 28
@@ -293,133 +291,35 @@ const (
 // across restarts of the same deployment, which persists its detector
 // and model through their own formats.
 func (p *Stage) Save(w io.Writer) error {
-	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(poolMagic[:]); err != nil {
-		return err
+	e := ckpt.NewEncoder(w, poolMagic)
+	e.U32(uint32(len(p.entries)))
+	for _, ent := range p.entries {
+		e.F64(ent.thetaError)
+		e.Blob(ent.modelBlob)
+		e.Blob(ent.detBlob)
 	}
-	if err := putU32(cw, uint32(len(p.entries))); err != nil {
-		return err
-	}
-	for _, e := range p.entries {
-		if err := putF64(cw, e.thetaError); err != nil {
-			return err
-		}
-		if err := putU32(cw, uint32(len(e.modelBlob))); err != nil {
-			return err
-		}
-		if _, err := cw.Write(e.modelBlob); err != nil {
-			return err
-		}
-		if err := putU32(cw, uint32(len(e.detBlob))); err != nil {
-			return err
-		}
-		if _, err := cw.Write(e.detBlob); err != nil {
-			return err
-		}
-	}
-	return cw.WriteFooter()
+	return e.Finish()
 }
 
 // Load replaces the stage's pooled checkpoints with the POOL1 container
 // read from r. Every failure wraps ErrBadFormat so callers can classify
 // corruption with errors.Is; on error the stage keeps its old entries.
 func (p *Stage) Load(r io.Reader) error {
-	entries, err := decodeEntries(r)
-	if err != nil {
+	d := ckpt.Open(r, poolMagic, ErrBadFormat)
+	count := d.U32()
+	if count > maxLoadEntries {
+		d.Failf("implausible entry count %d", count)
+	}
+	var entries []*entry
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
+		ent := &entry{thetaError: d.F64()}
+		ent.modelBlob = d.Blob(maxLoadBlobSize)
+		ent.detBlob = d.Blob(maxLoadBlobSize)
+		entries = append(entries, ent)
+	}
+	if err := d.Close(); err != nil {
 		return err
 	}
 	p.entries = entries
 	return nil
-}
-
-// decodeEntries parses a POOL1 container.
-func decodeEntries(r io.Reader) ([]*entry, error) {
-	var got [5]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, badFormat(fmt.Errorf("load header: %w", err))
-	}
-	if got != poolMagic {
-		return nil, ErrBadFormat
-	}
-	cr := ckpt.NewReader(r)
-	cr.Fold(got[:])
-	count, err := getU32(cr)
-	if err != nil {
-		return nil, badFormat(err)
-	}
-	if count > maxLoadEntries {
-		return nil, badFormat(fmt.Errorf("implausible entry count %d", count))
-	}
-	entries := make([]*entry, 0, count)
-	for i := uint32(0); i < count; i++ {
-		e := &entry{}
-		if e.thetaError, err = getF64(cr); err != nil {
-			return nil, badFormat(err)
-		}
-		if e.modelBlob, err = getBlob(cr); err != nil {
-			return nil, badFormat(err)
-		}
-		if e.detBlob, err = getBlob(cr); err != nil {
-			return nil, badFormat(err)
-		}
-		entries = append(entries, e)
-	}
-	if err := cr.VerifyFooter(); err != nil {
-		return nil, badFormat(err)
-	}
-	return entries, nil
-}
-
-func getBlob(r io.Reader) ([]byte, error) {
-	n, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLoadBlobSize {
-		return nil, fmt.Errorf("implausible blob size %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// badFormat wraps a load failure so it matches both ErrBadFormat and
-// the underlying cause (including ckpt.ErrChecksum).
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("pool: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func putF64(w io.Writer, v float64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getF64(r io.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
 }

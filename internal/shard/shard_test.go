@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"reflect"
@@ -322,6 +323,47 @@ func TestShardMigration(t *testing.T) {
 	}
 	if bS != refS || bD != refD {
 		t.Fatalf("migrated counters %d/%d, reference %d/%d", bS, bD, refS, refD)
+	}
+}
+
+// TestShardSurvivesCraftedMigrateIn sends two tiny MigrateIn payloads
+// whose headers declare huge shapes: a 38-byte QFIX01 member (kind 1,
+// inputs = hidden = 2²⁰), which once ran the shard out of memory, and a
+// 66-byte MULTI2 member (kind 0, H = D = 2¹³), which once allocated
+// 2 GiB before its short read failed. Each must come back as a remote
+// error, and the shard must keep serving other streams.
+func TestShardSurvivesCraftedMigrateIn(t *testing.T) {
+	template, stream := testTemplate(t)
+	_, addr := startShard(t, Config{Template: template})
+	cl, err := wire.DialClient(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var qfix, multi bytes.Buffer
+	for _, v := range []any{[]byte("QFIX01"), []uint32{1, 0, 1, 0, 0, 1 << 20, 1 << 20, 0}} {
+		binary.Write(&qfix, binary.LittleEndian, v)
+	}
+	for _, v := range []any{[]byte("MULTI2"), []uint32{1, 0}, []byte("OSELM3"), []byte{0, 0},
+		[]uint32{1 << 13, 1 << 13, 1 << 13, 0, 0}, []float64{1, 0.01, 1}} {
+		binary.Write(&multi, binary.LittleEndian, v)
+	}
+	if qfix.Len() != 38 || multi.Len() != 66 {
+		t.Fatalf("payloads are %d and %d bytes", qfix.Len(), multi.Len())
+	}
+	for _, st := range []wire.State{
+		{Stream: "qfix", Kind: 1, Payload: qfix.Bytes()},
+		{Stream: "multi", Kind: 0, Payload: multi.Bytes()},
+	} {
+		var re *wire.RemoteError
+		err := cl.MigrateIn(st)
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "bad format") {
+			t.Fatalf("%s: err = %v, want a remote bad-format error", st.Stream, err)
+		}
+	}
+	if _, _, err := cl.SendBatch(nil, "other", stream[:100]); err != nil {
+		t.Fatalf("shard stopped serving after the crafted payloads: %v", err)
 	}
 }
 
