@@ -172,3 +172,64 @@ func TestGoldenStreamScalarF64(t *testing.T) {
 		})
 	}
 }
+
+// Float32 backend pins, recorded on an amd64 host with AVX2+FMA. The
+// f32 kernels fuse multiply-adds there and round differently from the
+// scalar fallback, so these bits hold only where mat.F32SIMD() is true.
+const (
+	goldenF32FP         = "45b6daa45adbe5a9" // clean, per sample and batched
+	goldenF32PoisonedFP = "302f8fb8d01478ee" // poisoned, GuardReject
+	goldenF32DemotedFP  = "5dcf4a9ad5eb0310" // f64 demoted to f32 after 500 samples
+)
+
+// TestGoldenStreamF32 locks the float32 backend's trajectory bit for
+// bit: a Float32 monitor per sample, batched, and over the poisoned
+// stream, plus an f64 monitor demoted to its f32 twin mid-stream.
+func TestGoldenStreamF32(t *testing.T) {
+	if !mat.F32SIMD() {
+		t.Skip("float32 SIMD kernels are off on this CPU; the pins are taken on the SIMD path")
+	}
+	ds := goldenDataset()
+	fitted := func(t *testing.T, prec edgedrift.Precision) *edgedrift.Monitor {
+		mon, err := edgedrift.New(edgedrift.Options{
+			Classes:   2,
+			Inputs:    nslkdd.Features,
+			Hidden:    22,
+			Window:    100,
+			Seed:      1,
+			Precision: prec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Fit(ds.TrainX, ds.TrainY); err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	check := func(t *testing.T, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("f32 fingerprint drifted: got %s, want %s", got, want)
+		}
+	}
+	t.Run("per-sample", func(t *testing.T) {
+		check(t, fingerprint(fitted(t, edgedrift.Float32), ds.TestX), goldenF32FP)
+	})
+	t.Run("batched", func(t *testing.T) {
+		check(t, fingerprintBatched(fitted(t, edgedrift.Float32), ds.TestX, 64), goldenF32FP)
+	})
+	t.Run("poisoned", func(t *testing.T) {
+		check(t, fingerprint(fitted(t, edgedrift.Float32), poison(ds.TestX)), goldenF32PoisonedFP)
+	})
+	t.Run("demoted", func(t *testing.T) {
+		mon := fitted(t, edgedrift.Float64)
+		for _, x := range ds.TestX[:500] {
+			mon.Process(x)
+		}
+		if err := mon.Demote(edgedrift.Float32); err != nil {
+			t.Fatal(err)
+		}
+		check(t, fingerprint(mon, ds.TestX[500:]), goldenF32DemotedFP)
+	})
+}
