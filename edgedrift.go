@@ -208,11 +208,16 @@ func (m *Monitor) Fit(xs [][]float64, labels []int) error {
 	if len(xs) == 0 || len(xs) != len(labels) {
 		return fmt.Errorf("edgedrift: Fit needs matched non-empty samples, got %d/%d", len(xs), len(labels))
 	}
-	// Validate before any training: by the time Calibrate would notice a
-	// non-finite feature, the model would already be poisoned.
+	// Validate before any training: a bad sample or label found midway
+	// would leave the model trained on everything before it.
 	for i, x := range xs {
-		if !mat.AllFinite(x) {
+		switch {
+		case len(x) != m.opts.Inputs:
+			return fmt.Errorf("edgedrift: training sample %d has %d features, want %d", i, len(x), m.opts.Inputs)
+		case !mat.AllFinite(x):
 			return fmt.Errorf("edgedrift: training sample %d has a non-finite feature", i)
+		case labels[i] < 0 || labels[i] >= m.opts.Classes:
+			return fmt.Errorf("edgedrift: label %d out of range [0,%d)", labels[i], m.opts.Classes)
 		}
 	}
 	var tail stats.Running
@@ -220,9 +225,6 @@ func (m *Monitor) Fit(xs [][]float64, labels []int) error {
 		_, score := m.model.Predict(x)
 		if i >= len(xs)/2 {
 			tail.Observe(score)
-		}
-		if labels[i] < 0 || labels[i] >= m.opts.Classes {
-			return fmt.Errorf("edgedrift: label %d out of range [0,%d)", labels[i], m.opts.Classes)
 		}
 		m.model.Train(x, labels[i])
 	}

@@ -58,6 +58,43 @@ func TestFitValidation(t *testing.T) {
 	}
 }
 
+// TestFitRejectsBadLabelBeforeTraining puts the only bad label last: Fit
+// must fail before any sample trains, so a retry with the right labels
+// behaves exactly like a fresh monitor.
+func TestFitRejectsBadLabelBeforeTraining(t *testing.T) {
+	trainX, trainY, stream := scenario(4)
+	bad := append([]int(nil), trainY...)
+	bad[len(bad)-1] = 7
+	retried, err := New(defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := retried.Fit(trainX, bad); err == nil {
+		t.Fatal("expected label range error")
+	}
+	if err := retried.Fit(trainX, trainY); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := newFit(t, defaultOpts(), 4)
+	for i, x := range stream.X {
+		if got, want := retried.Process(x), fresh.Process(x); got != want {
+			t.Fatalf("sample %d: retried monitor %+v, fresh %+v", i, got, want)
+		}
+	}
+}
+
+// TestFitRejectsWrongDimension: a training sample of the wrong length is
+// an error, not a panic inside the model.
+func TestFitRejectsWrongDimension(t *testing.T) {
+	mon, err := New(defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Fit([][]float64{{1, 2, 3}, {1, 2}}, []int{0, 1}); err == nil {
+		t.Fatal("expected dimension error")
+	}
+}
+
 func TestProcessPanicsBeforeFit(t *testing.T) {
 	mon, _ := New(defaultOpts())
 	defer func() {

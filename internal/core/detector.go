@@ -846,10 +846,6 @@ func (d *Detector) Rejected() uint64 { return d.guard.Rejected() }
 // (GuardClamp policy).
 func (d *Detector) Clamped() uint64 { return d.guard.Clamped() }
 
-// Divergences returns how many times the model produced a non-finite
-// score on a finite input, forcing a health-driven rebuild.
-func (d *Detector) Divergences() uint64 { return d.divergences }
-
 // Health assembles the detector's structured health snapshot: guard
 // counters, the aggregated RLS watchdog view across all model
 // instances, and the monitoring-score distribution summary.

@@ -1,11 +1,16 @@
 package eval
 
-import "testing"
+import (
+	"testing"
+
+	"edgedrift/internal/mat"
+)
 
 // TestRunMatrix runs the full forced-degradation matrix once and checks
 // its structural invariants: every stream×level cell present, the
 // golden gate green, baselines anchoring the deltas, and the f32
-// demotion actually paying for itself on throughput (outside -race).
+// demotion actually paying for itself on throughput (outside -race, on
+// hosts with the f32 SIMD kernels).
 func TestRunMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full stream replays")
@@ -39,8 +44,10 @@ func TestRunMatrix(t *testing.T) {
 	}
 	f32 := cells["nsl-kdd/f32"]
 	// The race detector's instrumentation changes relative speed, so
-	// the throughput ratio means nothing under -race.
-	if !raceEnabled && f32.SamplesPerSec <= base.SamplesPerSec {
+	// the throughput ratio means nothing under -race. Without the f32
+	// SIMD kernels (GOARCH=386, pre-AVX2 amd64) both levels run the same
+	// scalar loops and f32 has no speed to gain.
+	if !raceEnabled && mat.F32SIMD() && f32.SamplesPerSec <= base.SamplesPerSec {
 		t.Fatalf("f32 demotion did not raise throughput: %0.f vs %0.f samples/s",
 			f32.SamplesPerSec, base.SamplesPerSec)
 	}

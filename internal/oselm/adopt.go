@@ -23,15 +23,7 @@ func (m *Model) AdoptState(src *Model) error {
 	if m.cfg != src.cfg {
 		return fmt.Errorf("oselm: AdoptState config mismatch: have %+v, adopting %+v", m.cfg, src.cfg)
 	}
-	if m.w32 != nil {
-		copy(m.w32.Data, src.w32.Data)
-		copy(m.bias32, src.bias32)
-		copy(m.beta32.Data, src.beta32.Data)
-	} else {
-		copy(m.w.Data, src.w.Data)
-		copy(m.bias, src.bias)
-		copy(m.beta.Data, src.beta.Data)
-	}
+	m.net.adopt(src.net)
 	copy(m.p.Data, src.p.Data)
 	m.inits = src.inits
 	m.wdCount = src.wdCount

@@ -3,7 +3,6 @@ package oselm
 import (
 	"math"
 
-	"edgedrift/internal/mat"
 	"edgedrift/internal/opcount"
 	"edgedrift/internal/rng"
 )
@@ -123,12 +122,7 @@ func (a *Autoencoder) ScoreBatch(dst []float64, xs [][]float64) {
 		chunk := xs[start:end]
 		m.forwardBatch(chunk)
 		for i := range chunk {
-			if m.w32 != nil {
-				mat.ConvertVec(a.recon, m.bb.ob32.Row(i))
-				dst[start+i] = a.scoreFrom(chunk[i], a.recon)
-			} else {
-				dst[start+i] = a.scoreFrom(chunk[i], m.bb.ob.Row(i))
-			}
+			dst[start+i] = a.scoreFrom(chunk[i], m.net.batchOutput(i, a.recon))
 		}
 	}
 }
@@ -158,10 +152,10 @@ func (a *Autoencoder) SamplesSeen() int { return a.model.SamplesSeen() }
 func (a *Autoencoder) Precision() Precision { return a.model.cfg.Precision }
 
 // MemoryBytes reports retained state including the reconstruction
-// buffer, which is counted at the backend's element width: on the
-// float32 backend the model already retains the width-matched
-// reconstruction (its o32 staging buffer), so the float64 recon here is
-// the widened image of state counted once.
+// buffer, which is counted at the backend's element width: below
+// float64 the model already retains the width-matched reconstruction
+// (the net's output staging), so the float64 recon here is the widened
+// image of state counted once.
 func (a *Autoencoder) MemoryBytes() int {
 	return a.model.MemoryBytes() + a.model.cfg.Precision.Bytes()*len(a.recon)
 }

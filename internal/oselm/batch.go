@@ -1,11 +1,5 @@
 package oselm
 
-import (
-	"fmt"
-
-	"edgedrift/internal/mat"
-)
-
 // Batched forward pass: N samples through the autoencoder as two GEMMs
 // (X·Wᵀ then H·β) with the bias/activation pass fused between them,
 // instead of N pairs of matvecs. The win is memory traffic: per-sample
@@ -22,92 +16,19 @@ import (
 // shapes, and the unit the layers above use to size their own buffers.
 const batchChunk = 64
 
-// batchScratch holds the lazily-allocated batch-forward buffers. Only
-// the backing store for the model's own precision is allocated.
-type batchScratch struct {
-	// Float64 backend.
-	hb *mat.Matrix // batchChunk×Hidden activations
-	ob *mat.Matrix // batchChunk×Outputs forward outputs
-
-	// Float32 backend.
-	xb32 *mat.MatrixOf[float32] // batchChunk×Inputs staged inputs
-	hb32 *mat.MatrixOf[float32] // batchChunk×Hidden activations
-	ob32 *mat.MatrixOf[float32] // batchChunk×Outputs forward outputs
-}
-
-// bytes reports the scratch footprint for MemoryBytes.
-func (b *batchScratch) bytes() int {
-	n := 0
-	if b.hb != nil {
-		n += 8 * (len(b.hb.Data) + len(b.ob.Data))
-	}
-	if b.xb32 != nil {
-		n += 4 * (len(b.xb32.Data) + len(b.hb32.Data) + len(b.ob32.Data))
-	}
-	return n
-}
-
-// ensureBatch allocates the batch scratch on first use. Per-sample-only
-// deployments (including everything the paper's tables measure) never
-// call a batch entry point, so they carry none of this state.
-func (m *Model) ensureBatch() *batchScratch {
-	if m.bb == nil {
-		bb := &batchScratch{}
-		if m.w32 != nil {
-			bb.xb32 = mat.NewOf[float32](batchChunk, m.cfg.Inputs)
-			bb.hb32 = mat.NewOf[float32](batchChunk, m.cfg.Hidden)
-			bb.ob32 = mat.NewOf[float32](batchChunk, m.cfg.Outputs)
-		} else {
-			bb.hb = mat.New(batchChunk, m.cfg.Hidden)
-			bb.ob = mat.New(batchChunk, m.cfg.Outputs)
-		}
-		m.bb = bb
-	}
-	return m.bb
-}
-
-// viewRows returns an n-row window onto m's first n rows — a value
-// header over the same backing array, so the batch kernels can operate
-// on a partial chunk without reslicing allocations.
-func viewRows[E mat.Element](m *mat.MatrixOf[E], n int) mat.MatrixOf[E] {
-	return mat.MatrixOf[E]{Rows: n, Cols: m.Cols, Data: m.Data[:n*m.Cols]}
-}
-
-// forwardBatch runs the forward pass for len(chunk) ≤ batchChunk samples,
-// leaving per-sample outputs in the scratch rows (ob for the float64
-// backend, ob32 for float32). The op counter is charged exactly as
-// len(chunk) Predict calls would charge it.
+// forwardBatch runs the forward pass for len(chunk) ≤ batchChunk
+// samples, leaving per-sample outputs for net.batchOutput. The op
+// counter is charged exactly as len(chunk) Predict calls would charge
+// it.
 func (m *Model) forwardBatch(chunk [][]float64) {
-	bb := m.ensureBatch()
-	n := len(chunk)
-	if n > batchChunk {
+	if len(chunk) > batchChunk {
 		panic("oselm: forwardBatch chunk exceeds batchChunk")
 	}
-	if m.w32 != nil {
-		xb := viewRows(bb.xb32, n)
-		for i, x := range chunk {
-			if len(x) != m.cfg.Inputs {
-				panic(fmt.Sprintf("oselm: input dimension %d, want %d", len(x), m.cfg.Inputs))
-			}
-			mat.ConvertVec(xb.Row(i), x)
-		}
-		hb := viewRows(bb.hb32, n)
-		mat.MulBatchF32(&hb, &xb, m.w32)
-		for i := 0; i < n; i++ {
-			activate32(hb.Row(i), m.bias32, m.cfg.Activation)
-		}
-		ob := viewRows(bb.ob32, n)
-		mat.MulBatchTransF32(&ob, &hb, m.beta32)
-	} else {
-		hb := viewRows(bb.hb, n)
-		mat.MulBatchRows(&hb, chunk, m.w)
-		for i := 0; i < n; i++ {
-			activateKernel(hb.Row(i), m.bias, m.cfg.Activation)
-		}
-		ob := viewRows(bb.ob, n)
-		mat.MulBatchTrans(&ob, &hb, m.beta)
+	for _, x := range chunk {
+		m.checkInput(x)
 	}
-	for i := 0; i < n; i++ {
+	m.net.forwardBatch(chunk)
+	for range chunk {
 		m.opsHidden()
 		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
 	}

@@ -1,40 +1,38 @@
 package oselm
 
-import (
-	"fmt"
-
-	"edgedrift/internal/mat"
-)
+import "fmt"
 
 // ConvertPrecision returns a new model computing at precision p whose
-// state is the narrowed image of m's: W, b and β are converted to the
-// target element width while the RLS inverse-covariance P — float64 on
-// every backend — is copied bit-for-bit, together with the
-// sequential-init counter and the watchdog phase. This is the model half
-// of a runtime precision demotion: the caller keeps m aside as the
-// retained origin, runs the converted twin, and promotion is simply
-// resuming m — no widening ever happens, so the origin stays bit-exact.
+// inference block is the narrowed image of m's: W, b and β are
+// converted to the target element type, while the RLS
+// inverse-covariance P — float64 at every precision — is copied bit for
+// bit, together with the sequential-init counter and the watchdog
+// phase. This is the model half of a runtime precision demotion: the
+// caller keeps m aside as the retained origin, runs the converted twin,
+// and promotion is simply resuming m — nothing is widened back, so the
+// origin stays bit-exact.
 //
-// Only narrowing conversions are supported (Float64 → Float32 today;
-// Fixed16 has its own quantisation path in internal/fixed). m is not
-// mutated.
+// The only conversion is Float64 → Float32; Fixed16 is reached by
+// quantising through internal/fixed. m is not mutated.
 func (m *Model) ConvertPrecision(p Precision) (*Model, error) {
 	if p == m.cfg.Precision {
 		return nil, fmt.Errorf("oselm: ConvertPrecision to the current precision %v", p)
 	}
 	if m.cfg.Precision != Float64 || p != Float32 {
-		return nil, fmt.Errorf("oselm: unsupported precision conversion %v → %v (only f64 → f32; use internal/fixed for q16)", m.cfg.Precision, p)
+		return nil, fmt.Errorf("oselm: cannot convert %v to %v: only f64 → f32 is supported (quantise to q16 via internal/fixed)", m.cfg.Precision, p)
 	}
 	cfg := m.cfg
 	cfg.Precision = p
-	nm := alloc(cfg)
-	mat.ConvertVec(nm.w32.Data, m.w.Data)
-	mat.ConvertVec(nm.bias32, m.bias)
-	mat.ConvertVec(nm.beta32.Data, m.beta.Data)
-	copy(nm.p.Data, m.p.Data)
-	nm.inits = m.inits
-	nm.wdCount = m.wdCount
-	nm.wdResets = m.wdResets
+	w, bias, beta := m.net.weights()
+	nm := &Model{
+		cfg:      cfg,
+		net:      build(cfg, w, bias, beta),
+		p:        m.p.Clone(),
+		inits:    m.inits,
+		wdCount:  m.wdCount,
+		wdResets: m.wdResets,
+	}
+	nm.initScratch()
 	return nm, nil
 }
 

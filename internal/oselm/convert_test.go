@@ -30,19 +30,18 @@ func TestConvertPrecisionState(t *testing.T) {
 	if m32.cfg.Precision != Float32 {
 		t.Fatalf("twin precision %v", m32.cfg.Precision)
 	}
-	for i, v := range m.w.Data {
-		if m32.w32.Data[i] != float32(v) {
-			t.Fatalf("W[%d] not the narrowed image", i)
-		}
-	}
-	for i, v := range m.bias {
-		if m32.bias32[i] != float32(v) {
-			t.Fatalf("bias[%d] not the narrowed image", i)
-		}
-	}
-	for i, v := range m.beta.Data {
-		if m32.beta32.Data[i] != float32(v) {
-			t.Fatalf("beta[%d] not the narrowed image", i)
+	// The twin's slabs, widened back, are the narrowed image of the
+	// origin's: widening a float32 is exact.
+	w, bias, beta := m.Weights()
+	w32, bias32, beta32 := m32.Weights()
+	for _, s := range []struct {
+		name      string
+		orig, got []float64
+	}{{"W", w, w32}, {"bias", bias, bias32}, {"beta", beta, beta32}} {
+		for i, v := range s.orig {
+			if s.got[i] != float64(float32(v)) {
+				t.Fatalf("%s[%d] not the narrowed image", s.name, i)
+			}
 		}
 	}
 	for i, v := range m.p.Data {
@@ -55,8 +54,8 @@ func TestConvertPrecisionState(t *testing.T) {
 	}
 
 	// The origin must stay bit-exact while the twin trains on.
-	wBefore := append([]float64(nil), m.w.Data...)
-	betaBefore := append([]float64(nil), m.beta.Data...)
+	wBefore := append([]float64(nil), w...)
+	betaBefore := append([]float64(nil), beta...)
 	pBefore := append([]float64(nil), m.p.Data...)
 	o64 := make([]float64, d)
 	o32 := make([]float64, d)
@@ -81,13 +80,14 @@ func TestConvertPrecisionState(t *testing.T) {
 		r.FillUniform(x, -1, 1)
 		m32.Train(x, x)
 	}
+	wAfter, _, betaAfter := m.Weights()
 	for i := range wBefore {
-		if m.w.Data[i] != wBefore[i] {
+		if wAfter[i] != wBefore[i] {
 			t.Fatal("origin W mutated by the twin")
 		}
 	}
 	for i := range betaBefore {
-		if m.beta.Data[i] != betaBefore[i] {
+		if betaAfter[i] != betaBefore[i] {
 			t.Fatal("origin beta mutated by the twin")
 		}
 	}

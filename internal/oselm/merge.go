@@ -58,40 +58,10 @@ func (m *Model) CompatibleWith(o *Model) error {
 	case a.WeightScale != b.WeightScale:
 		return mergeErrf("weight scale %v vs %v", a.WeightScale, b.WeightScale)
 	}
-	if m.w32 != nil {
-		if !sameBits32(m.w32.Data, o.w32.Data) || !sameBits32(m.bias32, o.bias32) {
-			return mergeErrf("different seed topology (random projections W·b differ)")
-		}
-		return nil
-	}
-	if !sameBits64(m.w.Data, o.w.Data) || !sameBits64(m.bias, o.bias) {
+	if !m.net.sameProjection(o.net) {
 		return mergeErrf("different seed topology (random projections W·b differ)")
 	}
 	return nil
-}
-
-func sameBits64(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameBits32(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Fingerprint returns the model's 64-bit merge-compatibility
@@ -117,21 +87,7 @@ func (m *Model) Fingerprint() uint64 {
 	put(math.Float64bits(m.cfg.Forgetting))
 	put(math.Float64bits(m.cfg.Ridge))
 	put(math.Float64bits(m.cfg.WeightScale))
-	if m.w32 != nil {
-		for _, v := range m.w32.Data {
-			put(uint64(math.Float32bits(v)))
-		}
-		for _, v := range m.bias32 {
-			put(uint64(math.Float32bits(v)))
-		}
-	} else {
-		for _, v := range m.w.Data {
-			put(math.Float64bits(v))
-		}
-		for _, v := range m.bias {
-			put(math.Float64bits(v))
-		}
-	}
+	m.net.hashProjection(put)
 	return h.Sum64()
 }
 
@@ -202,11 +158,7 @@ func (m *Model) Merge(srcs ...*Model) error {
 	// must leave m exactly as it was.
 	copy(m.p.Data, pNew.Data)
 	m.p.SymmetrizeInPlace() // the RLS recursion assumes symmetric P
-	if m.beta32 != nil {
-		mat.ConvertVec(m.beta32.Data, betaNew.Data)
-	} else {
-		copy(m.beta.Data, betaNew.Data)
-	}
+	m.net.setBeta(betaNew.Data)
 	m.inits = total
 	m.wdCount = 0
 	return nil

@@ -77,13 +77,13 @@ type Config struct {
 	// WeightScale bounds the uniform draw for W and b, [−s, s]. Zero
 	// means 1.
 	WeightScale float64
-	// Precision selects the numeric backend for the inference-side state
-	// (W, b, β and the activation buffers). Float64 — the zero value — is
-	// the historical full-precision path; Float32 halves the inference
-	// footprint while the RLS recursion keeps P and its scratch at
-	// float64 for conditioning, crossing the precision boundary once per
-	// sample. Fixed16 is inference-only and rejected here: train at a
-	// float precision and quantise via internal/fixed.
+	// Precision selects the element type of the inference-side state:
+	// W, b, β and the activation buffers. Float64, the zero value, is the
+	// full-precision path. Float32 halves the inference footprint; the
+	// RLS recursion keeps P and its scratch at float64 for conditioning
+	// on both, so values cross the precision boundary once per sample.
+	// Fixed16 is inference-only and rejected here: train at a float
+	// precision and quantise via internal/fixed.
 	Precision Precision
 }
 
@@ -119,37 +119,15 @@ func (c Config) withDefaults() (Config, error) {
 // Model is an OS-ELM instance. It is not safe for concurrent use.
 type Model struct {
 	cfg Config
-
-	w    *mat.Matrix // Hidden×Inputs random input weights (Float64 backend)
-	bias []float64   // Hidden biases (Float64 backend)
-	beta *mat.Matrix // Hidden×Outputs learned output weights (Float64 backend)
-	p    *mat.Matrix // Hidden×Hidden inverse-covariance state (always float64)
-
-	// Float32 backend state. When cfg.Precision == Float32 the model owns
-	// its inference-side parameters at float32 and the float64 twins above
-	// (w, bias, beta) are nil; P and the RLS scratch stay float64 so the
-	// Sherman-Morrison recursion keeps its conditioning. The staging
-	// buffers carry values across the precision boundary each sample
-	// without allocating.
-	w32    *mat.MatrixOf[float32] // Hidden×Inputs random input weights
-	bias32 []float32              // Hidden biases
-	beta32 *mat.MatrixOf[float32] // Hidden×Outputs learned output weights
-	h32    []float32              // hidden activations
-	x32    []float32              // input narrowed to float32
-	o32    []float32              // forward output βᵀ·h
-	u32    []float32              // RLS gain P·h narrowed to float32
-	e32    []float32              // residual narrowed to float32
+	net inference   // W, b, β and their buffers at cfg.Precision (net.go)
+	p   *mat.Matrix // Hidden×Hidden inverse-covariance state (always float64)
 
 	// scratch buffers reused across calls
-	h     []float64 // hidden activations (float64 image on the f32 path)
+	h     []float64 // hidden activations (their float64 image below f64)
 	ph    []float64 // P·h
 	e     []float64 // residual tᵀ − hᵀβ
 	ops   *opcount.Counter
 	inits int // samples consumed since last Reset (sequential-only training)
-
-	// bb is the batched-forward scratch, allocated lazily on the first
-	// batch scoring call (see batch.go); nil on per-sample-only models.
-	bb *batchScratch
 
 	// RLS health watchdog state; see watchdog().
 	wdPeriod   int     // trains between watchdog passes
@@ -181,60 +159,25 @@ func New(cfg Config, r *rng.Rand) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := alloc(c)
-	if m.w32 != nil {
-		// Draw the projection at float64 from the same RNG stream as the
-		// full-precision backend and narrow, so an f32 model with a given
-		// seed is the rounded image of the f64 model with that seed —
-		// which is what makes cross-precision parity tests meaningful.
-		wd := make([]float64, len(m.w32.Data))
-		bd := make([]float64, len(m.bias32))
-		r.FillUniform(wd, -c.WeightScale, c.WeightScale)
-		r.FillUniform(bd, -c.WeightScale, c.WeightScale)
-		mat.ConvertVec(m.w32.Data, wd)
-		mat.ConvertVec(m.bias32, bd)
-	} else {
-		r.FillUniform(m.w.Data, -c.WeightScale, c.WeightScale)
-		r.FillUniform(m.bias, -c.WeightScale, c.WeightScale)
-	}
+	// The projection is drawn at float64 at every precision and narrowed,
+	// so an f32 model with a given seed is the rounded image of the f64
+	// model with that seed — which is what makes cross-precision parity
+	// tests meaningful.
+	w := make([]float64, c.Hidden*c.Inputs)
+	bias := make([]float64, c.Hidden)
+	r.FillUniform(w, -c.WeightScale, c.WeightScale)
+	r.FillUniform(bias, -c.WeightScale, c.WeightScale)
+	m := &Model{cfg: c, net: build(c, w, bias, make([]float64, c.Hidden*c.Outputs)), p: mat.New(c.Hidden, c.Hidden)}
+	m.initScratch()
 	m.resetState()
 	return m, nil
 }
 
-// alloc builds a model with the backend state the configuration's
-// precision selects, leaving weights unset. P is float64 on every
-// backend.
-func alloc(c Config) *Model {
-	m := &Model{cfg: c, p: mat.New(c.Hidden, c.Hidden)}
-	if c.Precision == Float32 {
-		m.w32 = mat.NewOf[float32](c.Hidden, c.Inputs)
-		m.bias32 = make([]float32, c.Hidden)
-		m.beta32 = mat.NewOf[float32](c.Hidden, c.Outputs)
-	} else {
-		m.w = mat.New(c.Hidden, c.Inputs)
-		m.bias = make([]float64, c.Hidden)
-		m.beta = mat.New(c.Hidden, c.Outputs)
-	}
-	m.initScratch()
-	return m
-}
-
-// initScratch allocates the per-sample staging around the model's
-// state — the RLS scratch and float64 activation image on every
-// backend, the narrowing buffers on the float32 one — and arms the
-// watchdog.
+// initScratch allocates the float64 RLS scratch and arms the watchdog.
 func (m *Model) initScratch() {
-	c := m.cfg
-	m.h = make([]float64, c.Hidden)
-	m.ph = make([]float64, c.Hidden)
-	m.e = make([]float64, c.Outputs)
-	if c.Precision == Float32 {
-		m.h32 = make([]float32, c.Hidden)
-		m.x32 = make([]float32, c.Inputs)
-		m.o32 = make([]float32, c.Outputs)
-		m.u32 = make([]float32, c.Hidden)
-		m.e32 = make([]float32, c.Outputs)
-	}
+	m.h = make([]float64, m.cfg.Hidden)
+	m.ph = make([]float64, m.cfg.Hidden)
+	m.e = make([]float64, m.cfg.Outputs)
 	m.initWatchdog()
 }
 
@@ -266,7 +209,7 @@ func (m *Model) initWatchdog() {
 // resetState restores the sequential-learning start state, keeping the
 // random projection.
 func (m *Model) resetState() {
-	m.zeroBeta()
+	m.net.zeroBeta()
 	m.p.Zero()
 	m.p.AddDiag(1 / m.cfg.Ridge)
 	m.inits = 0
@@ -278,24 +221,6 @@ func (m *Model) resetState() {
 // model after a drift: the projection stays, the least-squares state
 // restarts.
 func (m *Model) Reset() { m.resetState() }
-
-// zeroBeta clears the learned output weights on whichever backend owns
-// them.
-func (m *Model) zeroBeta() {
-	if m.beta32 != nil {
-		m.beta32.Zero()
-		return
-	}
-	m.beta.Zero()
-}
-
-// betaFinite reports whether every learned output weight is finite.
-func (m *Model) betaFinite() bool {
-	if m.beta32 != nil {
-		return mat.AllFinite(m.beta32.Data)
-	}
-	return mat.AllFinite(m.beta.Data)
-}
 
 // Config returns the (defaulted) configuration.
 func (m *Model) Config() Config { return m.cfg }
@@ -310,22 +235,11 @@ func (m *Model) SamplesSeen() int { return m.inits }
 // SetOps attaches an operation counter (nil detaches).
 func (m *Model) SetOps(c *opcount.Counter) { m.ops = c }
 
-// hiddenKernel computes the hidden activation vector g(W·x + b) into
-// dst at the element type E — the one forward kernel every float
-// backend instantiates. At E = float64 the conversions are identity
-// operations, so the float64 path is bit-for-bit the historical one.
-func hiddenKernel[E mat.Element](dst []E, w *mat.MatrixOf[E], bias, x []E, act Activation) {
-	mat.MulVec(dst, w, x)
-	activateKernel(dst, bias, act)
-}
-
-// activateKernel applies g(z + b) in place — factored out of
-// hiddenKernel so the batched forward (which computes the matvec part as
-// a GEMM) runs the exact same element-wise arithmetic as the per-sample
-// kernel: bias add and activation at E, transcendental evaluated at
-// float64 and narrowed, identically in every entry point. The
-// activation switch runs once per vector, not per element. The float32
-// backend goes through activate32.
+// activateKernel applies g(z + b) in place: bias add and activation at
+// E, the transcendental evaluated at float64 and narrowed. The
+// per-sample and batched forward passes both call it, so they run the
+// same element-wise arithmetic. The activation switch runs once per
+// vector, not per element. The float32 kernels go through activate32.
 func activateKernel[E mat.Element](dst, bias []E, act Activation) {
 	bias = bias[:len(dst)]
 	switch act {
@@ -368,28 +282,17 @@ func (m *Model) opsHidden() {
 	}
 }
 
-// hiddenInto computes the hidden activation vector for x into dst
-// (Float64 backend).
-func (m *Model) hiddenInto(dst, x []float64) {
+// checkInput panics unless x has the model's input dimension.
+func (m *Model) checkInput(x []float64) {
 	if len(x) != m.cfg.Inputs {
 		panic(fmt.Sprintf("oselm: input dimension %d, want %d", len(x), m.cfg.Inputs))
 	}
-	hiddenKernel(dst, m.w, m.bias, x, m.cfg.Activation)
-	m.opsHidden()
 }
 
-// hidden32 narrows x into the staging buffer and computes the hidden
-// activations into h32 (Float32 backend).
-func (m *Model) hidden32(x []float64) {
-	if len(x) != m.cfg.Inputs {
-		panic(fmt.Sprintf("oselm: input dimension %d, want %d", len(x), m.cfg.Inputs))
-	}
-	mat.ConvertVec(m.x32, x)
-	// The concrete float32 matvec dispatches to the SIMD kernels when the
-	// CPU has them; the batched path runs the same kernel, which is what
-	// keeps batch and per-sample f32 scores bit-identical (see mat/f32.go).
-	mat.MulVecF32(m.h32, m.w32, m.x32)
-	activate32(m.h32, m.bias32, m.cfg.Activation)
+// hidden computes the hidden activations for x into dst at float64.
+func (m *Model) hidden(dst, x []float64) {
+	m.checkInput(x)
+	m.net.hidden(dst, x)
 	m.opsHidden()
 }
 
@@ -402,15 +305,8 @@ func (m *Model) Predict(dst, x []float64) []float64 {
 	if len(dst) != m.cfg.Outputs {
 		panic("oselm: bad output buffer length")
 	}
-	if m.w32 != nil {
-		m.hidden32(x)
-		mat.MulVecTransF32(m.o32, m.beta32, m.h32)
-		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
-		mat.ConvertVec(dst, m.o32)
-		return dst
-	}
-	m.hiddenInto(m.h, x)
-	mat.MulVecTrans(dst, m.beta, m.h)
+	m.hidden(m.h, x)
+	m.net.output(dst, m.h)
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
 	return dst
 }
@@ -421,15 +317,10 @@ func (m *Model) Train(x, t []float64) {
 	if len(t) != m.cfg.Outputs {
 		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.cfg.Outputs))
 	}
+	// The forward pass runs at the model's precision; the recursion below
+	// runs on the activations' float64 image.
 	h := m.h
-	if m.w32 != nil {
-		// Forward pass at float32; widen the activations once so the
-		// Sherman-Morrison recursion below runs untouched at float64.
-		m.hidden32(x)
-		mat.ConvertVec(h, m.h32)
-	} else {
-		m.hiddenInto(h, x)
-	}
+	m.hidden(h, x)
 
 	// ph = P·h
 	mat.MulVec(m.ph, m.p, h)
@@ -462,35 +353,21 @@ func (m *Model) Train(x, t []float64) {
 	}
 
 	// e = t − βᵀh (residual against the *pre-update* β, using post-update
-	// P per the OS-ELM recursion: β ← β + P·h·eᵀ). On the float32 backend
-	// the forward product runs at the precision β actually lives at, so
-	// the residual measures — and therefore corrects — the rounded
-	// model's real error rather than an idealised float64 shadow's.
-	if m.beta32 != nil {
-		mat.MulVecTransF32(m.o32, m.beta32, m.h32)
-		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
-		for i := range m.e {
-			m.e[i] = t[i] - float64(m.o32[i])
-		}
-	} else {
-		mat.MulVecTrans(m.e, m.beta, h)
-		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
-		for i := range m.e {
-			m.e[i] = t[i] - m.e[i]
-		}
+	// P per the OS-ELM recursion: β ← β + P·h·eᵀ). The forward product
+	// runs at the precision β lives at, so below float64 the residual
+	// measures — and therefore corrects — the rounded model's real error
+	// rather than an idealised float64 shadow's.
+	m.net.output(m.e, h)
+	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+	for i := range m.e {
+		m.e[i] = t[i] - m.e[i]
 	}
 	m.ops.AddAdd(m.cfg.Outputs)
 
 	// gain k = P·h (with the updated P).
 	mat.MulVec(m.ph, m.p, h)
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Hidden)
-	if m.beta32 != nil {
-		mat.ConvertVec(m.u32, m.ph)
-		mat.ConvertVec(m.e32, m.e)
-		m.beta32.AddScaledOuter(1, m.u32, m.e32)
-	} else {
-		m.beta.AddScaledOuter(1, m.ph, m.e)
-	}
+	m.net.update(m.ph, m.e)
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
 
 	m.inits++
@@ -522,7 +399,7 @@ func (m *Model) HealthNow() Health {
 	return Health{
 		PTrace:         m.p.Trace(),
 		PFinite:        mat.AllFinite(m.p.Data),
-		BetaFinite:     m.betaFinite(),
+		BetaFinite:     m.net.betaFinite(),
 		WatchdogResets: m.wdResets,
 	}
 }
@@ -572,8 +449,8 @@ func (m *Model) watchdog() {
 func (m *Model) repairDivergence() {
 	m.p.Zero()
 	m.p.AddDiag(1 / m.cfg.Ridge)
-	if !m.betaFinite() {
-		m.zeroBeta()
+	if !m.net.betaFinite() {
+		m.net.zeroBeta()
 	}
 	m.wdCount = 0
 	m.wdResets++
@@ -591,12 +468,7 @@ func (m *Model) InitTrainBatch(xs, ts [][]float64) error {
 	hm := mat.New(n, m.cfg.Hidden)
 	tm := mat.New(n, m.cfg.Outputs)
 	for i, x := range xs {
-		if m.w32 != nil {
-			m.hidden32(x)
-			mat.ConvertVec(hm.Row(i), m.h32)
-		} else {
-			m.hiddenInto(hm.Row(i), x)
-		}
+		m.hidden(hm.Row(i), x)
 		t := ts[i]
 		if len(t) != m.cfg.Outputs {
 			return fmt.Errorf("oselm: target %d has dimension %d, want %d", i, len(t), m.cfg.Outputs)
@@ -610,16 +482,12 @@ func (m *Model) InitTrainBatch(xs, ts [][]float64) error {
 	}
 	ht := mat.New(m.cfg.Hidden, m.cfg.Outputs)
 	mat.MulTransA(ht, hm, tm)
-	if m.beta32 != nil {
-		// Solve at float64 and narrow once — batch init is a host-side
-		// path, so the conditioning of the normal equations wins over
-		// keeping every intermediate at the deployment width.
-		tmp := mat.New(m.cfg.Hidden, m.cfg.Outputs)
-		mat.Mul(tmp, m.p, ht)
-		mat.ConvertVec(m.beta32.Data, tmp.Data)
-	} else {
-		mat.Mul(m.beta, m.p, ht)
-	}
+	// Solve at float64 and narrow once — batch init is a host-side path,
+	// so the conditioning of the normal equations wins over keeping every
+	// intermediate at the deployment width.
+	beta := mat.New(m.cfg.Hidden, m.cfg.Outputs)
+	mat.Mul(beta, m.p, ht)
+	m.net.setBeta(beta.Data)
 	m.inits = n
 	return nil
 }
@@ -627,12 +495,10 @@ func (m *Model) InitTrainBatch(xs, ts [][]float64) error {
 // Beta returns a deep copy of the learned output weights at float64,
 // mainly for tests and serialisation.
 func (m *Model) Beta() *mat.Matrix {
-	if m.beta32 != nil {
-		b := mat.New(m.beta32.Rows, m.beta32.Cols)
-		mat.ConvertVec(b.Data, m.beta32.Data)
-		return b
-	}
-	return m.beta.Clone()
+	b := mat.New(m.cfg.Hidden, m.cfg.Outputs)
+	_, _, beta := m.net.weights()
+	copy(b.Data, beta)
+	return b
 }
 
 // Weights returns the raw parameters at float64 — input weights W
@@ -640,18 +506,7 @@ func (m *Model) Beta() *mat.Matrix {
 // Hidden×Outputs) — for quantisation and export. The float64 backend
 // returns live views the caller must not mutate; the float32 backend
 // returns widened copies.
-func (m *Model) Weights() (w, bias, beta []float64) {
-	if m.w32 != nil {
-		w = make([]float64, len(m.w32.Data))
-		bias = make([]float64, len(m.bias32))
-		beta = make([]float64, len(m.beta32.Data))
-		mat.ConvertVec(w, m.w32.Data)
-		mat.ConvertVec(bias, m.bias32)
-		mat.ConvertVec(beta, m.beta32.Data)
-		return w, bias, beta
-	}
-	return m.w.Data, m.bias, m.beta.Data
-}
+func (m *Model) Weights() (w, bias, beta []float64) { return m.net.weights() }
 
 // MemoryBytes reports the number of bytes of persistent state the model
 // retains (the quantity audited in the paper's Table 4), derived from
@@ -660,17 +515,8 @@ func (m *Model) Weights() (w, bias, beta []float64) {
 // scratch are counted at float64 on every backend because that is where
 // they live (see Config.Precision).
 func (m *Model) MemoryBytes() int {
-	const f64 = 8
-	training := f64 * (len(m.p.Data) + len(m.h) + len(m.ph) + len(m.e))
-	if m.bb != nil {
-		training += m.bb.bytes()
-	}
-	es := m.cfg.Precision.Bytes()
-	if m.w32 != nil {
-		return training + es*(len(m.w32.Data)+len(m.bias32)+len(m.beta32.Data)+
-			len(m.h32)+len(m.x32)+len(m.o32)+len(m.u32)+len(m.e32))
-	}
-	return training + es*(len(m.w.Data)+len(m.bias)+len(m.beta.Data))
+	training := 8 * (len(m.p.Data) + len(m.h) + len(m.ph) + len(m.e))
+	return training + m.cfg.Precision.Bytes()*m.net.elems()
 }
 
 // InferenceBytes reports the bytes of inference-side state alone — the
@@ -679,9 +525,6 @@ func (m *Model) MemoryBytes() int {
 // host-side) and it scales directly with the element width: float32 is
 // exactly half of float64 at equal shape.
 func (m *Model) InferenceBytes() int {
-	es := m.cfg.Precision.Bytes()
-	if m.w32 != nil {
-		return es * (len(m.w32.Data) + len(m.bias32) + len(m.beta32.Data) + len(m.h32))
-	}
-	return es * (len(m.w.Data) + len(m.bias) + len(m.beta.Data) + len(m.h))
+	c := m.cfg
+	return c.Precision.Bytes() * (c.Hidden*c.Inputs + c.Hidden + c.Hidden*c.Outputs + c.Hidden)
 }

@@ -107,15 +107,7 @@ func (m *Model) Save(w io.Writer, prec Precision) (int64, error) {
 		e.F64(v)
 	}
 	width := prec.Bytes()
-	if m.w32 != nil {
-		ckpt.PutFloats(e, m.w32.Data, width)
-		ckpt.PutFloats(e, m.bias32, width)
-		ckpt.PutFloats(e, m.beta32.Data, width)
-	} else {
-		ckpt.PutFloats(e, m.w.Data, width)
-		ckpt.PutFloats(e, m.bias, width)
-		ckpt.PutFloats(e, m.beta.Data, width)
-	}
+	m.net.save(e, width)
 	ckpt.PutFloats(e, m.p.Data, width)
 	err := e.Finish()
 	return e.N(), err
@@ -177,9 +169,9 @@ func loadBody(d *ckpt.Decoder) *Model {
 	width := prec.Bytes()
 	m := &Model{cfg: c, inits: int(u[4])}
 	if c.Precision == Float32 {
-		m.w32, m.bias32, m.beta32 = loadSlabs[float32](d, c, width)
+		m.net = loadNet(d, &f32Kernels, c, width)
 	} else {
-		m.w, m.bias, m.beta = loadSlabs[float64](d, c, width)
+		m.net = loadNet(d, &f64Kernels, c, width)
 	}
 	p := ckpt.Floats[float64](d, h*h, width)
 	if d.Err() != nil {
@@ -188,19 +180,6 @@ func loadBody(d *ckpt.Decoder) *Model {
 	m.p = mat.NewFromData(c.Hidden, c.Hidden, p)
 	m.initScratch()
 	return m
-}
-
-// loadSlabs reads W, b and β, converting them to the compute element
-// type E.
-func loadSlabs[E mat.Element](d *ckpt.Decoder, c Config, width int) (*mat.MatrixOf[E], []E, *mat.MatrixOf[E]) {
-	h := uint64(c.Hidden)
-	w := ckpt.Floats[E](d, h*uint64(c.Inputs), width)
-	bias := ckpt.Floats[E](d, h, width)
-	beta := ckpt.Floats[E](d, h*uint64(c.Outputs), width)
-	if d.Err() != nil {
-		return nil, nil, nil
-	}
-	return mat.NewFromData(c.Hidden, c.Inputs, w), bias, mat.NewFromData(c.Hidden, c.Outputs, beta)
 }
 
 // Save serialises an autoencoder: the score metric followed by its

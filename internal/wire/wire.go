@@ -634,11 +634,6 @@ func ParseStats(p []byte) (Stats, error) {
 
 // --- Small helpers ---
 
-// AppendStream appends a u16-length-prefixed stream name — the leading
-// field of every stream-addressed payload, so a router can parse just
-// this and relay the rest untouched.
-func AppendStream(dst []byte, s string) []byte { return appendString(dst, s) }
-
 // ParseStream parses a u16-length-prefixed stream name, returning the
 // remaining payload.
 func ParseStream(p []byte) (s string, rest []byte, err error) { return parseString(p) }
