@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross test test-386 vet vet-386 fmt-check staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke deps-check check
+.PHONY: build cross test test-386 vet vet-386 fmt-check staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-coop bench-scenarios bench-pressure fuzz-smoke deps-check layerbench-check check
 
 build:
 	$(GO) build ./...
@@ -109,15 +109,6 @@ bench-compare:
 		echo "benchstat unavailable or no base run; raw results in $(BENCH_DIR)/ (go install golang.org/x/perf/cmd/benchstat@latest)" | tee $(BENCH_DIR)/benchstat.txt; \
 	fi
 
-# Distributed serve tier scaling curve: spawn 1/2/4 shard processes
-# behind the consistent-hash router, drive pipelined synthetic streams
-# through them (with one live migration per multi-shard point), and
-# write aggregate samples/s + p99 ingest latency as the BENCH_7
-# artifact. Sized down from the defaults to stay CI-friendly.
-bench-loadgen:
-	$(GO) build -o bin/driftbench ./cmd/driftbench
-	./bin/driftbench loadgen -shard-range 1,2,4 -streams 16 -samples 20480 -json BENCH_7.json
-
 # Cooperative vs per-stream drift recovery on the cooling-fan
 # scenarios: cold rebuild against warm-seeding from the closed-form
 # merge of adapted cohort peers, written as the BENCH_8 artifact. Exits
@@ -173,9 +164,18 @@ deps-check:
 	@bad=$$($(GO) list -deps $(SERVE_PKGS) | grep -E "^edgedrift/($$(echo $(HARNESS_PKGS) | tr ' ' '|'))(/|$$)"); \
 	if [ -n "$$bad" ]; then echo "serving tier links the research harness:"; echo "$$bad"; exit 1; fi
 
+# layerbench is a module of its own (`replace edgedrift => ../`), so
+# the root build, vet and test never compile it. It calls internal
+# APIs directly (model, oselm, core, shard, router, wire): vet it and
+# run its short tests so a signature change breaks here, not only in a
+# benchmark run.
+layerbench-check:
+	cd layerbench && $(GO) vet ./... && $(GO) test -short ./...
+
 # The full pre-merge gate: tier-1 plus gofmt, the 32-bit Arm
 # cross-compile, vet on amd64 and 386, the native 32-bit test run,
-# static analysis, the race detector over the concurrent packages, and
-# a fuzz smoke over the artifact loaders and the wire parsers, and the
-# serving tier's dependency gate.
-check: build fmt-check cross vet vet-386 staticcheck deps-check test test-386 race fuzz-smoke
+# static analysis, the race detector over the concurrent packages, a
+# fuzz smoke over the artifact loaders and the wire parsers, the
+# serving tier's dependency gate, and the layerbench module's vet and
+# short tests.
+check: build fmt-check cross vet vet-386 staticcheck deps-check layerbench-check test test-386 race fuzz-smoke

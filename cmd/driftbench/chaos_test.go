@@ -14,9 +14,8 @@ import (
 	"edgedrift/internal/wire"
 )
 
-// buildOnce builds the driftbench binary exactly once per test run so
-// the chaos test can spawn real shard processes through the same
-// spawnShard helper the loadgen harness uses.
+// buildOnce builds the driftbench binary exactly once per test run, for
+// the tests that spawn real serving processes through startServing.
 var buildOnce struct {
 	sync.Once
 	bin string
@@ -70,18 +69,12 @@ func TestChaosKillShardUnderGovernor(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := nslkdd.Generate(nslkdd.DefaultParams()).TestX
-	cfg := pointConfig{
-		precision: "f64", queueDepth: 64,
-		// 1ns budget: every batch is over budget, so the governor
-		// demotes whenever traffic flows and recovers when it stops.
-		pressureBudget: time.Nanosecond, pressureInterval: 5 * time.Millisecond,
-	}
+	// 1ns budget: every batch is over budget, so the governor demotes
+	// whenever traffic flows and recovers when it stops.
+	args := []string{"shard", "-addr", "127.0.0.1:0", "-template", tmplPath,
+		"-pressure-latency-budget", "1ns", "-pressure-interval", "5ms"}
 
-	proc, addr, err := spawnShard(bin, tmplPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopProc(proc)
+	proc, addr := startServing(t, bin, args...)
 	cl, err := wire.DialClient(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -172,11 +165,7 @@ func TestChaosKillShardUnderGovernor(t *testing.T) {
 	}
 
 	// Replacement process: adopt the checkpoint and reconcile.
-	proc2, addr2, err := spawnShard(bin, tmplPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopProc(proc2)
+	_, addr2 := startServing(t, bin, args...)
 	cl2, err := wire.DialClient(addr2, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 
 	"edgedrift/internal/eval"
 )
@@ -15,37 +13,16 @@ import (
 // uploads. The human-readable table on stdout is the same one
 // `driftbench -exp ext-coop` prints.
 func runCoop(args []string) int {
-	fs := flag.NewFlagSet("coop", flag.ContinueOnError)
-	seed := fs.Uint64("seed", 1, "random seed for data and models")
-	jsonPath := fs.String("json", "", "also write the comparison as JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	cmp, err := eval.RunCoop(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coop:", err)
-		return 1
-	}
-	out := eval.CoopOutcome(cmp)
-	for _, t := range out.Tables {
-		fmt.Println(t)
-	}
-	for _, s := range cmp.Scenarios {
-		if err := coopGateErr(s.Scenario, s.WarmRecoverySamples, s.ColdRecoverySamples); err != nil {
-			fmt.Fprintln(os.Stderr, "coop:", err)
-			return 1
-		}
-	}
-
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, cmp); err != nil {
-			fmt.Fprintln(os.Stderr, "coop:", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-	return 0
+	return runGated("coop", args, eval.RunCoop,
+		func(cmp *eval.CoopComparison) { printTables(eval.CoopOutcome(cmp)) },
+		func(cmp *eval.CoopComparison) error {
+			for _, s := range cmp.Scenarios {
+				if err := coopGateErr(s.Scenario, s.WarmRecoverySamples, s.ColdRecoverySamples); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 }
 
 // coopGateErr is the CI gate for one coop scenario. Warm must have

@@ -28,7 +28,6 @@ func runFleet(args []string) int {
 	batch := fs.Int("batch", 512, "samples per ProcessBatch call")
 	seed := fs.Uint64("seed", 1, "random seed for the shared trained monitor")
 	precision := fs.String("precision", "f64", "member numeric backend: f64, f32, or q16 (fixed-point inference port)")
-	jsonPath := fs.String("json", "", "also write the throughput summary as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -160,49 +159,5 @@ func runFleet(args []string) int {
 		fired, *streams, drifts, fanned, f.EventsDropped())
 	fmt.Printf("fleet memory: %.1f kB retained; %s\n",
 		float64(f.MemoryBytes())/1024, h.String())
-
-	if *jsonPath != "" {
-		sum := fleetSummary{
-			Streams: *streams, Shards: *shards, Workers: pool.Workers(), Batch: *batch,
-			Precision: prec.String(),
-			Samples:   len(ds.TestX),
-			WallSecs:  elapsed.Seconds(),
-			Aggregate: float64(len(ds.TestX)) / elapsed.Seconds(),
-			Drifts:    drifts, StreamsFired: fired,
-			EventsFanned: fanned, EventsDropped: f.EventsDropped(),
-			MemoryBytes: f.MemoryBytes(), Healthy: h.Healthy(),
-		}
-		if len(rates) > 0 {
-			sum.PerStreamMin = rates[0]
-			sum.PerStreamMedian = rates[len(rates)/2]
-			sum.PerStreamMax = rates[len(rates)-1]
-		}
-		if err := writeJSON(*jsonPath, sum); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// fleetSummary is the machine-readable form of the fleet benchmark
-// report, written by -json for CI artifact tracking.
-type fleetSummary struct {
-	Streams         int     `json:"streams"`
-	Shards          int     `json:"shards"`
-	Workers         int     `json:"workers"`
-	Batch           int     `json:"batch"`
-	Precision       string  `json:"precision"`
-	Samples         int     `json:"samples"`
-	WallSecs        float64 `json:"wall_secs"`
-	Aggregate       float64 `json:"aggregate_samples_per_sec"`
-	PerStreamMin    float64 `json:"per_stream_min_samples_per_sec"`
-	PerStreamMedian float64 `json:"per_stream_median_samples_per_sec"`
-	PerStreamMax    float64 `json:"per_stream_max_samples_per_sec"`
-	Drifts          uint64  `json:"drifts"`
-	StreamsFired    int     `json:"streams_fired"`
-	EventsFanned    int     `json:"events_fanned"`
-	EventsDropped   uint64  `json:"events_dropped"`
-	MemoryBytes     int     `json:"memory_bytes"`
-	Healthy         bool    `json:"healthy"`
 }

@@ -16,7 +16,6 @@
 //	driftbench shard -addr :7600      # one shard of the distributed serve tier
 //	driftbench route -shards host1:7600,host2:7600  # consistent-hash router
 //	driftbench shard -cpuprofile shard.pprof  # profile a serving process until SIGINT
-//	driftbench loadgen -shard-range 1,2,4 -json BENCH_7.json  # tier scaling curve
 //	driftbench coop -json BENCH_8.json  # cooperative vs per-stream drift recovery
 //	driftbench scenarios -json BENCH_9.json  # label-delay matrix: hybrid detection + model pool
 //	driftbench pressure -json BENCH_10.json  # forced-degradation matrix + golden gate
@@ -61,7 +60,6 @@ var subcommands = map[string]func(args []string) int{
 	"precision": runPrecision,
 	"shard":     runShard,
 	"route":     runRoute,
-	"loadgen":   runLoadgen,
 	"coop":      runCoop,
 	"scenarios": runScenarios,
 	"pressure":  runPressure,
@@ -263,4 +261,43 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// printTables prints an outcome's tables as the -exp runs do.
+func printTables(out *eval.Outcome) {
+	for _, t := range out.Tables {
+		fmt.Println(t)
+	}
+}
+
+// runGated is the body every gated-artifact subcommand (coop, scenarios,
+// pressure) shares: parse -seed and -json, run, print, write the JSON
+// artifact when -json is set, then exit 1 if the gate fails. The
+// artifact is written before the gate so a failing run keeps its
+// evidence.
+func runGated[T any](name string, args []string, run func(seed uint64) (T, error), show func(T), gate func(T) error) int {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	seed := fs.Uint64("seed", 1, "random seed for data and models")
+	jsonPath := fs.String("json", "", "also write the result as JSON to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	res, err := run(*seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		return 1
+	}
+	show(res)
+	if *jsonPath != "" {
+		if err := writeJSON(*jsonPath, res); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			return 1
+		}
+		fmt.Printf("wrote %s\n", *jsonPath)
+	}
+	if err := gate(res); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		return 1
+	}
+	return 0
 }

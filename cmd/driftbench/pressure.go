@@ -1,9 +1,8 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
-	"os"
 
 	"edgedrift/internal/eval"
 )
@@ -17,19 +16,17 @@ import (
 // CI; a failed golden gate is a non-zero exit even when the matrix
 // itself completed.
 func runPressure(args []string) int {
-	fs := flag.NewFlagSet("pressure", flag.ContinueOnError)
-	seed := fs.Uint64("seed", 1, "random seed for datasets and monitors")
-	jsonPath := fs.String("json", "", "also write the matrix as JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
+	return runGated("pressure", args, eval.RunPressure, printPressure, func(rep *eval.PressureReport) error {
+		if !rep.GoldenGateOK {
+			return errors.New("golden gate FAILED: a demote→promote excursion perturbed the full-precision path")
+		}
+		return nil
+	})
+}
 
-	rep, err := eval.RunPressure(*seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pressure: %v\n", err)
-		return 1
-	}
-
+// printPressure prints the forced-degradation matrix, one row per
+// stream and level.
+func printPressure(rep *eval.PressureReport) {
 	fmt.Printf("pressure: forced-degradation matrix, seed %d\n", rep.Seed)
 	fmt.Printf("%-12s %-5s %14s %12s %8s %8s %12s\n",
 		"stream", "level", "samples/s", "accuracy", "Δacc", "delay", "retained kB")
@@ -47,16 +44,4 @@ func runPressure(args []string) int {
 			p.Stream, p.Level, p.SamplesPerSec, acc, dacc, delay, float64(p.MemoryBytes)/1024)
 	}
 	fmt.Printf("golden gate (demote→promote off-path bit-exact): %v\n", rep.GoldenGateOK)
-
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "pressure: %v\n", err)
-			return 1
-		}
-	}
-	if !rep.GoldenGateOK {
-		fmt.Fprintln(os.Stderr, "pressure: golden gate FAILED: a demote→promote excursion perturbed the full-precision path")
-		return 1
-	}
-	return 0
 }

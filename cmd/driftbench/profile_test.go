@@ -102,3 +102,23 @@ func startServing(t *testing.T, bin string, args ...string) (*exec.Cmd, string) 
 	go io.Copy(io.Discard, stdout)
 	return cmd, strings.Fields(rest)[0]
 }
+
+// stopProc interrupts a serving process and reaps it, escalating to
+// Kill if it ignores the signal.
+func stopProc(cmd *exec.Cmd) {
+	if cmd.Process == nil {
+		return
+	}
+	cmd.Process.Signal(os.Interrupt)
+	done := make(chan struct{})
+	go func() {
+		cmd.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		cmd.Process.Kill()
+		<-done
+	}
+}

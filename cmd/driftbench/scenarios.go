@@ -1,9 +1,7 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 
 	"edgedrift/internal/eval"
 )
@@ -15,35 +13,9 @@ import (
 // artifact CI uploads. The human-readable table on stdout is the same
 // one `driftbench -exp ext-scenarios` prints.
 func runScenarios(args []string) int {
-	fs := flag.NewFlagSet("scenarios", flag.ContinueOnError)
-	seed := fs.Uint64("seed", 1, "random seed for data and models")
-	jsonPath := fs.String("json", "", "also write the matrix as JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	m, err := eval.RunScenarios(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenarios:", err)
-		return 1
-	}
-	out := eval.ScenariosOutcome(m)
-	for _, t := range out.Tables {
-		fmt.Println(t)
-	}
-	if err := scenariosGateErr(m); err != nil {
-		fmt.Fprintln(os.Stderr, "scenarios:", err)
-		return 1
-	}
-
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, m); err != nil {
-			fmt.Fprintln(os.Stderr, "scenarios:", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-	return 0
+	return runGated("scenarios", args, eval.RunScenarios,
+		func(m *eval.ScenarioMatrix) { printTables(eval.ScenariosOutcome(m)) },
+		scenariosGateErr)
 }
 
 // scenariosGateErr is the CI gate over the matrix: on the reoccurring

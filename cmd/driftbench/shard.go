@@ -46,7 +46,8 @@ func trainTemplate(seed uint64, prec edgedrift.Precision) ([]byte, error) {
 // the distributed serve tier. It listens for the wire batch-ingest
 // protocol, clones the template for every unseen stream, and serves
 // until interrupted. The "listening on" line on stdout is machine-
-// scraped by `driftbench loadgen` when it spawns shards on port 0.
+// scraped by layerbench and the process tests, which spawn shards on
+// port 0.
 func runShard(args []string) int {
 	fs := flag.NewFlagSet("shard", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7600", "TCP listen address for batch ingest (port 0 picks a free port)")

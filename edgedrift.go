@@ -391,6 +391,10 @@ func (m *Monitor) MemoryBytes() int {
 // monitor (nil detaches).
 func (m *Monitor) SetOps(c *OpCounter) { m.det.SetOps(c) }
 
+// Inputs returns the sample dimension the monitor accepts
+// (Options.Inputs).
+func (m *Monitor) Inputs() int { return m.opts.Inputs }
+
 // Precision returns the numeric backend the monitor's model computes
 // at (Options.Precision).
 func (m *Monitor) Precision() Precision { return m.model.Precision() }

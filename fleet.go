@@ -429,14 +429,25 @@ func (f *Fleet) ExportMember(id string) (*MemberState, error) {
 }
 
 // ImportMember registers a member exported from another fleet — the
-// target half of a live stream migration. The payload's checksum is
-// verified before registration; corruption fails with ErrBadFormat and
-// registers nothing.
-func (f *Fleet) ImportMember(st *MemberState) error {
+// target half of a live stream migration — that takes inputs-dim
+// samples. The payload's checksum is verified before registration;
+// corruption fails with ErrBadFormat, a member of another input
+// dimension is refused, and either registers nothing.
+func (f *Fleet) ImportMember(st *MemberState, inputs int) error {
 	if st == nil {
 		return fmt.Errorf("edgedrift: import: nil member state")
 	}
-	return f.f.ImportMember(st.ID, st.Kind, st.Cohort, st.Payload, st.Samples, st.Drifts, decodeMember)
+	dec := func(id string, kind byte, r io.Reader) (core.Streaming, error) {
+		s, err := decodeMember(id, kind, r)
+		if err != nil {
+			return nil, err
+		}
+		if in, ok := core.Find[interface{ Inputs() int }](s); !ok || in.Inputs() != inputs {
+			return nil, fmt.Errorf("edgedrift: fleet member %q does not take %d-dim samples", id, inputs)
+		}
+		return s, nil
+	}
+	return f.f.ImportMember(st.ID, st.Kind, st.Cohort, st.Payload, st.Samples, st.Drifts, dec)
 }
 
 // ErrMergeIncompatible is re-exported so callers can classify merge

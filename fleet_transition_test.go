@@ -313,7 +313,7 @@ func TestFleetDegradedExportImport(t *testing.T) {
 		t.Fatal("export did not deregister the member")
 	}
 	dst := edgedrift.NewFleet(edgedrift.FleetConfig{})
-	if err := dst.ImportMember(st); err != nil {
+	if err := dst.ImportMember(st, len(fx.stream[0])); err != nil {
 		t.Fatal(err)
 	}
 	degraded, active, _, err := dst.MemberPrecision("m")

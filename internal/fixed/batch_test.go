@@ -2,6 +2,7 @@ package fixed
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"edgedrift/internal/core"
@@ -203,4 +204,33 @@ func TestMonitorProcessBatchPanicsOnBadDims(t *testing.T) {
 		}
 	}()
 	mon.ProcessBatch(nil, [][]Q{make([]Q, monDims-1)})
+}
+
+// TestStreamPanicsOnBadDims: a float sample of the wrong dimension must
+// panic in both entry points, as core.Detector does. A shorter sample
+// once scored against the stale tail of the reused quantise buffer, and
+// a longer one overran it with an index panic.
+func TestStreamPanicsOnBadDims(t *testing.T) {
+	det, r := calibratedFloatDetector(t, 17)
+	x := batchTrace(r, 1)[0]
+	for _, dims := range []int{monDims - 1, monDims + 1} {
+		bad := make([]float64, dims)
+		copy(bad, x)
+		for name, call := range map[string]func(s *Stream){
+			"Process":      func(s *Stream) { s.Process(bad) },
+			"ProcessBatch": func(s *Stream) { s.ProcessBatch(nil, [][]float64{bad}) },
+		} {
+			s := NewStream(QuantizeDetector(det))
+			s.ProcessBatch(nil, [][]float64{x}) // fill the buffers a short sample would leave stale
+			s.Process(x)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "sample dimension") {
+						t.Errorf("%s of a %d-dim sample: panic %q, want a sample-dimension panic", name, dims, msg)
+					}
+				}()
+				call(s)
+			}()
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package fixed
 
 import (
+	"fmt"
+
 	"edgedrift/internal/core"
 	"edgedrift/internal/health"
 )
@@ -23,11 +25,24 @@ func NewStream(mon *Monitor) *Stream {
 // Monitor returns the wrapped fixed-point monitor.
 func (s *Stream) Monitor() *Monitor { return s.mon }
 
+// Inputs returns the sample dimension the stage accepts.
+func (s *Stream) Inputs() int { return len(s.xq) }
+
+// quantizeSample fills dst from x. A sample of the wrong dimension
+// panics, as it does in core.Detector: a shorter one would otherwise be
+// scored against the stale tail of the reused buffer.
+func quantizeSample(dst []Q, x []float64) {
+	if len(x) != len(dst) {
+		panic(fmt.Sprintf("fixed: sample dimension %d, want %d", len(x), len(dst)))
+	}
+	for i, v := range x {
+		dst[i] = FromFloat(v)
+	}
+}
+
 // Process quantises one sample and runs the fixed-point monitor on it.
 func (s *Stream) Process(x []float64) core.Result {
-	for i, v := range x {
-		s.xq[i] = FromFloat(v)
-	}
+	quantizeSample(s.xq, x)
 	r := s.mon.Process(s.xq)
 	return core.Result{
 		Label:         r.Label,
@@ -60,10 +75,7 @@ func (s *Stream) ProcessBatch(dst []core.Result, xs [][]float64) []core.Result {
 		n := end - start
 		chunk := s.xqb[:n]
 		for i, x := range xs[start:end] {
-			row := chunk[i]
-			for j, v := range x {
-				row[j] = FromFloat(v)
-			}
+			quantizeSample(chunk[i], x)
 		}
 		s.mon.scoreBatch(labels[:n], scores[:n], chunk)
 		for i := 0; i < n; i++ {

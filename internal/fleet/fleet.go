@@ -287,15 +287,11 @@ func (f *Fleet) cohortRemove(cohort, id string) {
 
 // Cohort returns the member's cohort name ("" for none).
 func (f *Fleet) Cohort(id string) (string, error) {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		return "", err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return "", fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	return m.cohort, nil
 }
 
@@ -375,6 +371,22 @@ func (f *Fleet) member(id string) (*member, error) {
 	m, ok := sh.members[id]
 	sh.mu.RUnlock()
 	if !ok {
+		return nil, fmt.Errorf("fleet: unknown stream %q", id)
+	}
+	return m, nil
+}
+
+// lockMember looks a member up and returns it locked; the caller
+// unlocks it. A member removed between the lookup and the lock is an
+// unknown stream, so no control path acts on a ghost.
+func (f *Fleet) lockMember(id string) (*member, error) {
+	m, err := f.member(id)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	if m.removed {
+		m.mu.Unlock()
 		return nil, fmt.Errorf("fleet: unknown stream %q", id)
 	}
 	return m, nil
@@ -528,15 +540,11 @@ func (f *Fleet) warmRecover(id string) {
 // never from a reconstructing member: half-trained state is rejected
 // at this mechanism level so no policy above can ship it.
 func (f *Fleet) ExportMergeState(id string) ([]byte, uint64, error) {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		return nil, 0, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return nil, 0, fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	if m.merger == nil {
 		return nil, 0, fmt.Errorf("fleet: stream %q: %w", id,
 			&oselm.MergeError{Reason: "member has no mergeable state (detect-only stage)"})
@@ -556,15 +564,11 @@ func (f *Fleet) ExportMergeState(id string) ([]byte, uint64, error) {
 // or across shards). Incompatible state is rejected loudly and leaves
 // the member untouched.
 func (f *Fleet) MergeSeedMember(id string, states [][]byte) error {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	if m.merger == nil {
 		return fmt.Errorf("fleet: stream %q: %w", id,
 			&oselm.MergeError{Reason: "member has no mergeable state (detect-only stage)"})
@@ -578,15 +582,11 @@ func (f *Fleet) MergeSeedMember(id string, states [][]byte) error {
 // MemberFingerprint returns a member's merge fingerprint (0 when the
 // member has no mergeable state).
 func (f *Fleet) MemberFingerprint(id string) (uint64, error) {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		return 0, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return 0, fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	return m.fprint, nil
 }
 
@@ -599,17 +599,12 @@ func (f *Fleet) MemberFingerprint(id string) (uint64, error) {
 // detectors, the Q16.16 port) and invalid transitions fail loudly and
 // count as TransitionFailures.
 func (f *Fleet) DemoteMember(id string, p oselm.Precision) error {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		f.transitionFailures.Add(1)
 		return err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		f.transitionFailures.Add(1)
-		return fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	if m.trans == nil {
 		f.transitionFailures.Add(1)
 		return fmt.Errorf("fleet: stream %q has no precision-transition capability", id)
@@ -630,17 +625,12 @@ func (f *Fleet) DemoteMember(id string, p oselm.Precision) error {
 // demotion instant (samples served while demoted advanced only the
 // twin). Same locking, stamping and failure accounting as DemoteMember.
 func (f *Fleet) PromoteMember(id string) error {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		f.transitionFailures.Add(1)
 		return err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		f.transitionFailures.Add(1)
-		return fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	if m.trans == nil {
 		f.transitionFailures.Add(1)
 		return fmt.Errorf("fleet: stream %q has no precision-transition capability", id)
@@ -661,15 +651,11 @@ func (f *Fleet) PromoteMember(id string) error {
 // without the capability report (false, Float64-zero-value) with ok
 // false.
 func (f *Fleet) MemberPrecision(id string) (degraded bool, active oselm.Precision, ok bool, err error) {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		return false, 0, false, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return false, 0, false, fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	if m.trans == nil {
 		return false, 0, false, nil
 	}
@@ -797,29 +783,21 @@ func (f *Fleet) emit(ev Event) {
 // lock — the safe way to inspect or checkpoint a single stream while
 // the rest of the fleet keeps processing.
 func (f *Fleet) Do(id string, fn func(core.Streaming) error) error {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	return fn(m.stage)
 }
 
 // MemberStats returns one stream's lifetime sample and drift counts.
 func (f *Fleet) MemberStats(id string) (samples, drifts uint64, err error) {
-	m, err := f.member(id)
+	m, err := f.lockMember(id)
 	if err != nil {
 		return 0, 0, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return 0, 0, fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	return m.samples, m.drifts, nil
 }
 

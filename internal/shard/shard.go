@@ -13,7 +13,7 @@
 // the sender) and load-shedding (drop the batch at admission, tell the
 // client with a Shed frame, count it). Shedding never drops silently:
 // a shed batch is never processed, so sent == processed + shed holds
-// exactly — the accounting loadgen asserts.
+// exactly — the accounting layerbench's load generator asserts.
 //
 // A batch runs to completion on the reader itself, skipping the
 // hand-off to the worker, when two conditions hold: the worker has no
@@ -27,7 +27,10 @@
 //
 // Streams are created on first use by cloning the shard's template
 // artifact, so the router can place new streams anywhere without a
-// control round-trip. Live migration is the fleet member handoff over
+// control round-trip. A shard serves exactly its template's input
+// dimension: a batch of another dimension is answered with an Error
+// frame before any stream is created, and the connection keeps
+// serving. Live migration is the fleet member handoff over
 // the wire: MigrateOut exports the member (sample-boundary snapshot,
 // CRC-checksummed payload) and tombstones the stream so a late batch
 // cannot silently respawn a fresh member; MigrateIn imports it with
@@ -93,9 +96,10 @@ type Config struct {
 
 // Server is one shard process's ingest server.
 type Server struct {
-	cfg   Config
-	fleet *edgedrift.Fleet
-	ln    net.Listener
+	cfg    Config
+	fleet  *edgedrift.Fleet
+	ln     net.Listener
+	inputs int // the template's sample dimension, the only one served
 
 	mu         sync.Mutex
 	tombstones map[string]bool // migrated-out streams: never auto-recreate
@@ -144,9 +148,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Validate the template once up front so a bad artifact fails at
 	// startup, not on the first stream.
-	if _, err := s.newMember(); err != nil {
+	st, err := s.newMember()
+	if err != nil {
 		return nil, fmt.Errorf("shard: bad template: %w", err)
 	}
+	s.inputs = st.(interface{ Inputs() int }).Inputs()
 	if cfg.Pressure != nil {
 		interval := cfg.PressureInterval
 		if interval <= 0 {
@@ -477,6 +483,10 @@ func (s *Server) worker(in *ingest) {
 // both the reader's inline run and the worker. Returns false when the
 // connection is dead.
 func (s *Server) serveBatch(c *wire.Conn, buf *batchBuf, stream string, xs [][]float64) bool {
+	if len(xs[0]) != s.inputs { // a parsed batch has rows of one length
+		msg := fmt.Sprintf("shard: stream %q: sample dimension %d, want %d", stream, len(xs[0]), s.inputs)
+		return c.WriteFrame(wire.TypeError, []byte(msg)) == nil
+	}
 	start := time.Now()
 	results, err := s.fleet.ProcessBatchInto(buf.results[:0], stream, xs)
 	if err != nil {
@@ -516,10 +526,11 @@ func (s *Server) migrateOut(c *wire.Conn, stream string) {
 	}))
 }
 
-// migrateIn imports a member exported by another shard. The wire State
-// frame does not carry a cohort — the member joins this shard's
-// configured cohort (cohort membership is a placement property, and the
-// router co-locates a cohort's shards by configuration).
+// migrateIn imports a member exported by another shard; one of another
+// input dimension is refused. The wire State frame does not carry a
+// cohort — the member joins this shard's configured cohort (cohort
+// membership is a placement property, and the router co-locates a
+// cohort's shards by configuration).
 func (s *Server) migrateIn(c *wire.Conn, st wire.State) {
 	err := s.fleet.ImportMember(&edgedrift.MemberState{
 		ID:      st.Stream,
@@ -528,7 +539,7 @@ func (s *Server) migrateIn(c *wire.Conn, st wire.State) {
 		Samples: st.Samples,
 		Drifts:  st.Drifts,
 		Payload: append([]byte(nil), st.Payload...),
-	})
+	}, s.inputs)
 	if err != nil {
 		c.WriteFrame(wire.TypeError, []byte(err.Error()))
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"edgedrift"
+	"edgedrift/internal/ckpt"
 	"edgedrift/internal/core"
 	"edgedrift/internal/datasets/synth"
 	"edgedrift/internal/rng"
@@ -364,6 +366,130 @@ func TestShardSurvivesCraftedMigrateIn(t *testing.T) {
 	}
 	if _, _, err := cl.SendBatch(nil, "other", stream[:100]); err != nil {
 		t.Fatalf("shard stopped serving after the crafted payloads: %v", err)
+	}
+}
+
+// withDims returns xs with every sample cut or zero-padded to dims.
+func withDims(xs [][]float64, dims int) [][]float64 {
+	out := make([][]float64, len(xs))
+	for i, x := range xs {
+		out[i] = make([]float64, dims)
+		copy(out[i], x)
+	}
+	return out
+}
+
+// TestShardRejectsWrongDimension sends well-formed batches one feature
+// short and one feature long to a 3-dim shard at both precisions. They
+// once crashed the f64 shard, were acked with results scored against
+// stale features by the q16 shard, or crashed it. Each must now come
+// back as a remote error before any stream is created, and the same
+// connection must then ack a correct batch for that stream, bit for bit
+// as a local replay.
+func TestShardRejectsWrongDimension(t *testing.T) {
+	template, stream := testTemplate(t)
+	xs := stream[:100]
+	for _, prec := range []edgedrift.Precision{edgedrift.Float64, edgedrift.Fixed16} {
+		t.Run(prec.String(), func(t *testing.T) {
+			s, addr := startShard(t, Config{Template: template, Precision: prec})
+			ref := referenceFleet(t, template, prec, "d2", "d4")
+			cl, err := wire.DialClient(addr, 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for i, dims := range []int{2, 4} {
+				id := fmt.Sprintf("d%d", dims)
+				var re *wire.RemoteError
+				if _, _, err := cl.SendBatch(nil, id, withDims(xs, dims)); !errors.As(err, &re) || !strings.Contains(re.Msg, "sample dimension") {
+					t.Fatalf("%d-dim batch: err = %v, want a remote sample-dimension error", dims, err)
+				}
+				if n := s.Fleet().Len(); n != i {
+					t.Fatalf("%d-dim batch: shard holds %d streams, want %d", dims, n, i)
+				}
+				got, shed, err := cl.SendBatch(nil, id, xs)
+				if err != nil || shed != 0 {
+					t.Fatalf("correct batch after the %d-dim one: shed %d, err %v", dims, shed, err)
+				}
+				want, err := ref.ProcessBatch(id, xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: results after the %d-dim batch diverge from local replay", id, dims)
+				}
+			}
+		})
+	}
+}
+
+// TestShardMigrateInRejectsOtherDimension hands a 3-dim shard two
+// checksum-valid members that take 5-dim samples: a monitor, and a
+// demoted 3-dim monitor whose f32 twin takes 5-dim samples. The first
+// was once accepted and crashed the shard on the stream's next batch.
+// Each must be refused with a remote error and register nothing; the
+// same connection then acks a correct batch for that stream, served by
+// a fresh clone of the template.
+func TestShardMigrateInRejectsOtherDimension(t *testing.T) {
+	template, stream := testTemplate(t)
+	s, addr := startShard(t, Config{Template: template})
+	cl, err := wire.DialClient(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	fiveDim := func(prec edgedrift.Precision) *edgedrift.Monitor {
+		src := synth.NewGaussian([][]float64{{0, 0, 0, 0, 0}, {5, 5, 5, 5, 5}}, 0.3)
+		trainX, trainY := synth.TrainingSet(src, 300, rng.New(3))
+		mon, err := edgedrift.New(edgedrift.Options{
+			Classes: 2, Inputs: 5, Hidden: 8, Window: 50, Seed: 1, Precision: prec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Fit(trainX, trainY); err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	local := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	if err := local.Add("plain", fiveDim(edgedrift.Float64)); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := local.ExportMember("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A degraded member (kind 2): the twin's precision byte, the origin
+	// artifact, the f32 twin on the f64 wire, then the payload checksum.
+	var degraded bytes.Buffer
+	w := ckpt.NewWriter(&degraded)
+	w.Write(append([]byte{byte(edgedrift.Float32)}, template...))
+	if err := fiveDim(edgedrift.Float32).Save(w, edgedrift.Float64); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteFooter(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, st := range []wire.State{
+		{Stream: "plain", Kind: plain.Kind, Samples: plain.Samples, Payload: plain.Payload},
+		{Stream: "degraded", Kind: 2, Payload: degraded.Bytes()},
+	} {
+		var re *wire.RemoteError
+		if err := cl.MigrateIn(st); !errors.As(err, &re) {
+			t.Fatalf("%s: migrate-in err = %v, want a remote error", st.Stream, err)
+		}
+		if n := s.Fleet().Len(); n != 0 || s.Stats().MigratedIn != 0 {
+			t.Fatalf("%s: refused member left %d streams, %d migrations in", st.Stream, n, s.Stats().MigratedIn)
+		}
+		if _, shed, err := cl.SendBatch(nil, st.Stream, stream[:100]); err != nil || shed != 0 {
+			t.Fatalf("%s: correct batch after the refusal: shed %d, err %v", st.Stream, shed, err)
+		}
+		if _, _, ok := s.Fleet().Remove(st.Stream); !ok {
+			t.Fatalf("%s: the correct batch did not create the stream", st.Stream)
+		}
 	}
 }
 

@@ -35,26 +35,9 @@ func MeanStd(xs []float64) (mean, std float64) {
 // Quantile returns the q-th sample quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. xs is not modified.
 func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
+	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return QuantileSorted(s, q)
 }
 
 // QuantileSorted is Quantile for an already ascending-sorted sample,

@@ -9,8 +9,8 @@ import (
 
 // Client is the synchronous request/reply view of a framed connection:
 // one outstanding request at a time, matching the protocol's
-// request/reply discipline. The loadgen's per-connection drivers and
-// the router's migration orchestration both speak through it; the
+// request/reply discipline. The tests' drivers and the router's
+// migration orchestration both speak through it; the
 // router's hot forwarding path bypasses it and relays raw frames.
 type Client struct {
 	conn *Conn

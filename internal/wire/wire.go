@@ -571,8 +571,8 @@ func ParseMergeStates(p []byte) (MergeStates, error) {
 
 // --- Stats payloads ---
 
-// Stats is a shard's counter snapshot: the accounting surface loadgen
-// and the router use to prove zero lost and zero double-counted samples
+// Stats is a shard's counter snapshot: the accounting surface
+// layerbench's load generator and the router use to prove zero lost and zero double-counted samples
 // across sheds and migrations.
 type Stats struct {
 	Streams     uint32

@@ -259,7 +259,7 @@ func TestExportImportQ16Member(t *testing.T) {
 		t.Fatalf("source Len = %d after export", src.Len())
 	}
 	dst := edgedrift.NewFleet(edgedrift.FleetConfig{})
-	if err := dst.ImportMember(st); err != nil {
+	if err := dst.ImportMember(st, len(pre[0])); err != nil {
 		t.Fatal(err)
 	}
 

@@ -127,20 +127,27 @@ func (m *Monitor) deriveQ16() (*fixed.Stream, error) {
 
 // adoptDegraded reattaches a deserialised twin to the monitor — the
 // load half of a FLEET4 degraded-member round trip. The twin must be at
-// a strictly lower precision than the monitor's own.
+// a strictly lower precision than the monitor's own, and take samples
+// of the monitor's dimension.
 func (m *Monitor) adoptDegraded(twin core.Streaming) error {
 	if m.degraded != nil {
 		return errors.New("edgedrift: monitor already has a degraded twin")
 	}
+	inputs := 0
 	switch t := twin.(type) {
 	case *Monitor:
 		if m.opts.Precision != Float64 || t.opts.Precision != Float32 {
 			return fmt.Errorf("edgedrift: degraded twin precision %v under a %v origin", t.opts.Precision, m.opts.Precision)
 		}
+		inputs = t.Inputs()
 	case *fixed.Stream:
 		// Any float origin can carry a q16 twin.
+		inputs = t.Inputs()
 	default:
 		return fmt.Errorf("edgedrift: %T is not a degraded twin", twin)
+	}
+	if inputs != m.Inputs() {
+		return fmt.Errorf("edgedrift: degraded twin takes %d-dim samples under a %d-dim origin", inputs, m.Inputs())
 	}
 	m.degraded = twin
 	return nil
